@@ -6,7 +6,7 @@
 //   sequential  — the paper's protocol: one query at a time, each with
 //                 T-way intra-query parallelism (QueryEngine::Search);
 //   executor    — raw cross-query fan-out: T workers, one thread per
-//                 query (service::RunThroughputBatch);
+//                 query (service::RunTaskBatch);
 //   service     — end-to-end SearchService in throughput mode (admission
 //                 queue + dispatcher + metrics), swept over batch sizes;
 //   shardS      — SearchService over a shard::ShardedIndex of S shards
@@ -199,12 +199,13 @@ int main(int argc, char** argv) {
       std::vector<std::vector<Neighbor>> results(queries.size());
       std::vector<service::QueryTask> tasks(queries.size());
       for (std::size_t q = 0; q < queries.size(); ++q) {
+        tasks[q].index = &tree;
         tasks[q].query = queries.row(q);
         tasks[q].k = k;
         tasks[q].result = &results[q];
       }
       timer.Reset();
-      service::RunThroughputBatch(tree, &tasks, &pool, threads);
+      service::RunTaskBatch(&tasks, &pool, threads);
       const double qps = static_cast<double>(n_queries) / timer.Seconds();
       const double speedup = qps / seq_qps;
       table.AddRow({std::to_string(threads), "executor", "all",

@@ -218,11 +218,22 @@ shard::ShardAssignment ParseAssignment(const Flags& flags) {
 
 // Re-creates the build-time partition and reloads one index file per
 // shard; build and serve must be run with the same --shards/--assignment.
-// num_shards == 1 wraps the plain single-index file as a one-shard
-// generation (the ingest path always serves shards).
+// num_shards == 1 serves the plain single-index file over `data` itself
+// (no partition copy; `data` must outlive the result).
 std::shared_ptr<const shard::ShardedIndex> LoadShardedIndex(
     const Flags& flags, const std::string& index_path, const Dataset& data,
     std::size_t num_shards, bool enable_rowq, ThreadPool* pool) {
+  if (num_shards == 1) {
+    auto loaded = index::LoadIndex(index_path, &data, pool);
+    if (!loaded.has_value()) {
+      std::fprintf(stderr, "failed to load index (wrong dataset?)\n");
+      return nullptr;
+    }
+    if (enable_rowq) {
+      loaded->tree->AttachRowQuant(quant::RowQuant::Build(data));
+    }
+    return service::AdoptLoadedIndex(std::move(*loaded))->sharded;
+  }
   shard::ShardingConfig config;
   config.num_shards = num_shards;
   config.assignment = ParseAssignment(flags);
@@ -231,8 +242,7 @@ std::shared_ptr<const shard::ShardedIndex> LoadShardedIndex(
       shard::ShardedIndex::Partition(data, num_shards, config.assignment);
   std::vector<shard::Shard> shards(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::string path =
-        num_shards > 1 ? ShardPath(index_path, s) : index_path;
+    const std::string path = ShardPath(index_path, s);
     auto loaded = index::LoadIndex(path, partition.data[s].get(), pool);
     if (!loaded.has_value()) {
       std::fprintf(stderr,
@@ -820,16 +830,14 @@ int Serve(const Flags& flags, ThreadPool* pool) {
     }
   }
   // Any mutation source — inserts, deletes, a WAL to recover, or a
-  // generation store — runs through the ingest path, which always serves
-  // a (possibly one-shard) sharded generation: that is the unit of
-  // per-shard compaction and persistence.
+  // generation store — attaches the ingest path (per-shard compaction and
+  // persistence) to the served generation, one-shard or not.
   // A network server is always mutable when it can be (INSERT/DELETE
   // arrive over the wire), so --listen runs through the ingest path even
   // with no file-based mutation source.
   const bool ingesting = network || insert_rows.has_value() ||
                          !delete_ids.empty() || !wal_dir.empty() ||
                          store != nullptr;
-  std::optional<index::LoadedIndex> loaded;  // single-index keep-alive
   std::shared_ptr<const shard::ShardedIndex> sharded;
   std::shared_ptr<const service::IndexSnapshot> snapshot;
   std::size_t num_shards = static_cast<std::size_t>(opts.shards);
@@ -843,23 +851,13 @@ int Serve(const Flags& flags, ThreadPool* pool) {
                     restored->manifest.generation_seq),
                 data_dir.c_str(), sharded->size(), sharded->length(),
                 num_shards, restored->manifest.tombstones.size());
-  } else if (num_shards > 1 || ingesting) {
+  } else {
     sharded =
         LoadShardedIndex(flags, index_path, *data, num_shards, opts.rowq, pool);
     if (sharded == nullptr) {
       return 1;
     }
     snapshot = service::WrapShardedIndex(sharded);
-  } else {
-    loaded = index::LoadIndex(index_path, &*data, pool);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr, "failed to load index (wrong dataset?)\n");
-      return 1;
-    }
-    if (opts.rowq) {
-      loaded->tree->AttachRowQuant(quant::RowQuant::Build(*data));
-    }
-    snapshot = service::WrapIndex(loaded->tree.get());
   }
   const std::size_t k = static_cast<std::size_t>(opts.k);
   const double epsilon = opts.epsilon;

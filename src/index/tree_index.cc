@@ -129,12 +129,12 @@ std::vector<std::vector<Neighbor>> TreeIndex::SearchKnnBatch(
   std::vector<std::vector<Neighbor>> results(queries.size());
   std::vector<service::QueryTask> tasks(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
+    tasks[q].index = this;
     tasks[q].query = queries.row(q);
     tasks[q].k = k;
     tasks[q].result = &results[q];
   }
-  service::RunThroughputBatch(*this, &tasks, pool_,
-                              config_.num_threads);
+  service::RunTaskBatch(&tasks, pool_, config_.num_threads);
   return results;
 }
 

@@ -10,9 +10,9 @@ namespace sofa {
 namespace service {
 namespace {
 
-// One task: deadline check, then either the buffer flat scan or the
-// single-threaded tree search.
-void ExecuteTask(QueryTask* task_ptr, const index::TreeIndex* default_index) {
+// One task: deadline check, then either the buffer flat scan or the tree
+// search on `num_threads` threads.
+void ExecuteTask(QueryTask* task_ptr, std::size_t num_threads) {
   QueryTask& task = *task_ptr;
   if (task.deadline != std::chrono::steady_clock::time_point::max() &&
       task.deadline < std::chrono::steady_clock::now()) {
@@ -34,21 +34,53 @@ void ExecuteTask(QueryTask* task_ptr, const index::TreeIndex* default_index) {
     }
     return;
   }
-  const index::TreeIndex* index =
-      task.index != nullptr ? task.index : default_index;
-  SOFA_DCHECK(index != nullptr);
-  const index::QueryEngine engine(index);
+  SOFA_DCHECK(task.index != nullptr);
+  const index::QueryEngine engine(task.index);
   *task.result = engine.Search(task.query, task.k, task.epsilon,
-                               task.profile, /*num_threads=*/1);
+                               task.profile, num_threads);
 }
 
-// Shared worker loop: tasks with a null index fall back to `default_index`
-// (null only when every task names its own).
-void RunTasks(std::vector<QueryTask>* tasks, ThreadPool* pool,
-              std::size_t num_workers, const index::TreeIndex* default_index) {
+// One task, traced or not. A traced task stamps its span with its
+// execution window (an expired task stamps a zero-length span at pickup
+// time — the timeline then shows where the deadline cut the scatter).
+// A task running on this thread alone is also bracketed by this thread's
+// hardware counters (one thread_local perf group, opened once per
+// thread), so cycles/instructions/LLC-miss attribution is exact per
+// span; a multi-threaded task gets no sample, since one thread's
+// counters miss its helpers. Untraced tasks skip all of it — the hot
+// path stays one branch.
+void RunTask(QueryTask* task, std::size_t num_threads) {
+  SOFA_DCHECK(task->result != nullptr);
+  if (task->trace == nullptr) {
+    ExecuteTask(task, num_threads);
+    return;
+  }
+  const double span_start = task->trace->NowMs();
+  if (num_threads == 1) {
+    obs::PerfCounters& perf = obs::PerfCounters::ForCurrentThread();
+    perf.Start();
+    ExecuteTask(task, num_threads);
+    task->perf = perf.Stop();
+    task->trace->StampSpanPerf(task->span, task->perf);
+  } else {
+    ExecuteTask(task, num_threads);
+  }
+  task->trace->StampSpan(task->span, span_start, task->trace->NowMs());
+}
+
+}  // namespace
+
+void RunTaskBatch(std::vector<QueryTask>* tasks, ThreadPool* pool,
+                  std::size_t num_workers) {
   SOFA_CHECK(tasks != nullptr);
   SOFA_CHECK(pool != nullptr);
   if (tasks->empty()) {
+    return;
+  }
+  if (tasks->size() == 1) {
+    // A lone task is a whole query with nothing to overlap it: give it
+    // every thread, the paper's exploratory protocol.
+    RunTask(&tasks->front(), num_workers);
     return;
   }
   if (num_workers == 0) {
@@ -64,41 +96,9 @@ void RunTasks(std::vector<QueryTask>* tasks, ThreadPool* pool,
       if (t >= tasks->size()) {
         return;
       }
-      QueryTask& task = (*tasks)[t];
-      SOFA_DCHECK(task.result != nullptr);
-      if (task.trace != nullptr) {
-        // Traced tasks are bracketed by this worker's hardware counters
-        // (one thread_local perf group, opened once per worker thread),
-        // so cycles/instructions/LLC-miss attribution is exact per scan
-        // span. Untraced tasks skip all of it — the hot path stays one
-        // branch.
-        obs::PerfCounters& perf = obs::PerfCounters::ForCurrentThread();
-        const double span_start = task.trace->NowMs();
-        perf.Start();
-        ExecuteTask(&task, default_index);
-        task.perf = perf.Stop();
-        // Expired tasks stamp a zero-length span at pickup time — the
-        // timeline then shows where the deadline cut the scatter.
-        task.trace->StampSpan(task.span, span_start, task.trace->NowMs());
-        task.trace->StampSpanPerf(task.span, task.perf);
-      } else {
-        ExecuteTask(&task, default_index);
-      }
+      RunTask(&(*tasks)[t], /*num_threads=*/1);
     }
   });
-}
-
-}  // namespace
-
-void RunThroughputBatch(const index::TreeIndex& index,
-                        std::vector<QueryTask>* tasks, ThreadPool* pool,
-                        std::size_t num_workers) {
-  RunTasks(tasks, pool, num_workers, &index);
-}
-
-void RunTaskBatch(std::vector<QueryTask>* tasks, ThreadPool* pool,
-                  std::size_t num_workers) {
-  RunTasks(tasks, pool, num_workers, /*default_index=*/nullptr);
 }
 
 }  // namespace service

@@ -1,13 +1,13 @@
-// Cross-query batch execution (the serving layer's "throughput mode").
-//
-// The paper's protocol parallelizes *inside* one query; under heavy
-// traffic the same cores are better spent running many queries at once,
-// each single-threaded (FAISS-style batched execution, FLASH's inter-query
-// parallelism on CPUs). This executor is the one implementation of that
-// fan-out: SearchService dispatches admitted batches through it,
-// TreeIndex::SearchKnnBatch delegates to it, and ShardedIndex scatters a
-// query across its shards as one task per shard (every task naming its
-// own index).
+// Batch execution: the one way the serving stack runs work. A batch is a
+// list of tasks, each one query against one source (a shard tree or an
+// insert buffer); SearchService runs every dispatch round as one or more
+// such batches, ShardedIndex scatters a query as one task per shard, and
+// TreeIndex::SearchKnnBatch runs one task per query. Under load, cores
+// are better spent on many single-threaded queries at once (FAISS-style
+// batching, FLASH's inter-query parallelism) than inside one query, so
+// tasks run single-threaded across the workers — except a batch of one
+// task, a whole query with nothing to overlap, which gets the paper's
+// intra-query parallelism.
 
 #ifndef SOFA_SERVICE_EXECUTOR_H_
 #define SOFA_SERVICE_EXECUTOR_H_
@@ -37,9 +37,7 @@ struct QueryTask {
   index::QueryProfile* profile = nullptr;
   std::vector<Neighbor>* result = nullptr;
 
-  /// Index this task runs against. Required by RunTaskBatch; with
-  /// RunThroughputBatch a null entry falls back to the batch-wide index
-  /// (the homogeneous single-index case).
+  /// Index this task runs against (required unless `buffer` is set).
   const index::TreeIndex* index = nullptr;
 
   /// Insert-buffer scan unit: when `buffer` is non-null the task is an
@@ -68,26 +66,22 @@ struct QueryTask {
   int span = -1;
 
   /// Output: hardware counters of this task's execution window (traced
-  /// tasks only — untraced tasks skip sampling entirely). Also stamped
-  /// onto the trace span; the service aggregates it into the
+  /// single-threaded tasks only — untraced tasks skip sampling, and one
+  /// thread's counters cannot describe a multi-threaded lone task). Also
+  /// stamped onto the trace span; the service aggregates it into the
   /// sofa_query_stage_{cycles,instructions,llc_misses,stalled_cycles}
   /// histograms. `perf.hardware == false` means the rdtsc fallback
   /// (perf_event_open denied — containers, CI).
   obs::PerfSample perf;
 };
 
-/// Answers all tasks exactly, parallel across queries: `num_workers` pool
-/// workers (0 = pool size) dynamically pull tasks and run each query
-/// single-threaded, so per-query work never nests parallel sections.
-/// Tasks without an explicit index run against `index`.
-/// Safe to call from a non-pool thread only (it blocks on the pool).
-void RunThroughputBatch(const index::TreeIndex& index,
-                        std::vector<QueryTask>* tasks, ThreadPool* pool,
-                        std::size_t num_workers = 0);
-
-/// Heterogeneous variant: every task names its own index (the shard
-/// scatter path — one query fanned into one task per shard, or a mixed
-/// batch over several generations). Same threading contract as above.
+/// Answers all tasks exactly. A batch of one task runs inline on the
+/// caller, a tree search with intra-query parallelism on `num_workers`
+/// threads of the index's pool (0 = the index's configured count).
+/// Otherwise `num_workers` workers of `pool` (0 = pool size) pull tasks
+/// dynamically and run each single-threaded, so per-query work never
+/// nests parallel sections. Safe to call from a non-pool thread only (it
+/// blocks on the pool).
 void RunTaskBatch(std::vector<QueryTask>* tasks, ThreadPool* pool,
                   std::size_t num_workers = 0);
 

@@ -39,7 +39,7 @@ struct MetricsSnapshot {
   /// Completed queries per admission priority class (index = Priority).
   std::uint64_t completed_by_priority[kNumPriorities] = {0, 0, 0};
 
-  std::uint64_t latency_queries = 0;     // ran with intra-query parallelism
+  std::uint64_t latency_queries = 0;     // ran as their own executor batch
   std::uint64_t throughput_batches = 0;  // cross-query parallel batches
   std::uint64_t throughput_queries = 0;  // queries inside those batches
 

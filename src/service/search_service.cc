@@ -5,62 +5,12 @@
 #include <unordered_set>
 #include <utility>
 
-#include "index/query_engine.h"
 #include "service/executor.h"
 #include "util/check.h"
 
 namespace sofa {
 namespace service {
 namespace {
-
-// The insert-buffer scan half of an ingesting query runs as executor
-// tasks alongside the tree scatter (one task per non-null buffer), so
-// the delta-set work is load-balanced across the same workers instead of
-// serializing on the dispatcher thread. These helpers size and fill the
-// buffer-task block appended after a query's tree-task block.
-std::size_t BufferTaskCount(const IndexSnapshot& snapshot) {
-  if (!snapshot.is_ingesting()) {
-    return 0;
-  }
-  std::size_t count = 0;
-  for (const auto& buffer : snapshot.buffers->buffers) {
-    if (buffer != nullptr) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-// Fills `tasks[at...]` with one scan task per non-null buffer; each
-// task's result/profile slot comes from the parallel arrays at the same
-// offset. Returns one past the last filled slot.
-std::size_t FillBufferTasks(
-    const IndexSnapshot& snapshot, const SearchRequest& request,
-    const std::unordered_set<std::uint32_t>* exclude, bool with_deadline,
-    std::vector<QueryTask>* tasks, std::size_t at,
-    std::vector<std::vector<Neighbor>>* results,
-    std::vector<index::QueryProfile>* profiles) {
-  const ShardBuffers& buffers = *snapshot.buffers;
-  for (std::size_t s = 0; s < buffers.buffers.size(); ++s) {
-    if (buffers.buffers[s] == nullptr) {
-      continue;
-    }
-    QueryTask& task = (*tasks)[at];
-    task.query = request.query.data();
-    task.k = request.k;
-    if (with_deadline) {
-      task.deadline = request.deadline;
-    }
-    task.buffer = buffers.buffers[s].get();
-    task.buffer_start = buffers.start[s];
-    task.exclude = exclude;
-    task.result = &(*results)[at];
-    task.profile =
-        request.collect_profile ? &(*profiles)[at] : nullptr;
-    ++at;
-  }
-  return at;
-}
 
 // One consistent tombstone snapshot for a query (or a whole batch): the
 // live set can grow concurrently, and tree scatter + buffer scan + merge
@@ -106,7 +56,6 @@ constexpr char kSpanScatter[] = "scatter";
 constexpr char kSpanShardScan[] = "shard_scan";
 constexpr char kSpanBufferScan[] = "buffer_scan";
 constexpr char kSpanMerge[] = "merge";
-constexpr char kSpanSearch[] = "search";
 
 }  // namespace
 
@@ -117,8 +66,7 @@ SearchService::SearchService(std::shared_ptr<const IndexSnapshot> snapshot,
       slow_log_(config.trace.slow_log_capacity),
       snapshot_(std::move(snapshot)), paused_(config.start_paused) {
   SOFA_CHECK(pool_ != nullptr);
-  SOFA_CHECK(snapshot_ != nullptr &&
-             (snapshot_->tree != nullptr || snapshot_->sharded != nullptr));
+  SOFA_CHECK(snapshot_ != nullptr && snapshot_->sharded != nullptr);
   SOFA_CHECK(config_.max_pending > 0);
   if (config_.max_batch == 0) {
     config_.max_batch = 1;
@@ -142,8 +90,6 @@ SearchService::SearchService(std::shared_ptr<const IndexSnapshot> snapshot,
       kStage, stage_options, {{"stage", "buffer_scan"}}, kStageHelp);
   stage_merge_ = registry->GetHistogram(
       kStage, stage_options, {{"stage", "merge"}}, kStageHelp);
-  stage_search_ = registry->GetHistogram(
-      kStage, stage_options, {{"stage", "search"}}, kStageHelp);
   // Hardware-counter attribution of the executor-run stages. Counts per
   // scan span range from a handful (tiny buffers) to billions of cycles,
   // hence the wide geometry.
@@ -155,8 +101,7 @@ SearchService::SearchService(std::shared_ptr<const IndexSnapshot> snapshot,
     StagePerfHistograms* slot;
     const char* stage;
   } const perf_stages[] = {{&perf_shard_scan_, "shard_scan"},
-                           {&perf_buffer_scan_, "buffer_scan"},
-                           {&perf_search_, "search"}};
+                           {&perf_buffer_scan_, "buffer_scan"}};
   for (const auto& entry : perf_stages) {
     entry.slot->cycles = registry->GetHistogram(
         "sofa_query_stage_cycles", perf_options, {{"stage", entry.stage}},
@@ -258,8 +203,7 @@ SearchResponse SearchService::Search(SearchRequest request) {
 
 std::uint64_t SearchService::Publish(
     std::shared_ptr<const IndexSnapshot> snapshot) {
-  SOFA_CHECK(snapshot != nullptr &&
-             (snapshot->tree != nullptr || snapshot->sharded != nullptr));
+  SOFA_CHECK(snapshot != nullptr && snapshot->sharded != nullptr);
   std::uint64_t version;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -455,161 +399,136 @@ void SearchService::ExecuteBatch(std::vector<PendingRequest>* batch,
     }
   }
 
-  if (!runnable.empty()) {
-    const bool latency_mode = runnable.size() <= config_.latency_mode_threshold;
-    if (latency_mode) {
-      // One tombstone snapshot for the whole batch (every request here
-      // was submitted before the batch started, so batch-time visibility
-      // satisfies the delete contract) — recomputing per request would
-      // copy the set once per query under concurrent deletes.
-      std::shared_ptr<const std::unordered_set<std::uint32_t>> tombstones;
-      std::vector<std::size_t> k_extra;
-      if (snapshot.is_sharded()) {
-        tombstones = TombstoneViewOf(snapshot);
-        if (tombstones != nullptr) {
-          k_extra = ShardKExtra(snapshot, *tombstones);
-        }
-      }
-      for (const std::size_t i : runnable) {
-        const SearchRequest& request = (*batch)[i].request;
-        // A request can expire while the queries before it in this batch
-        // run; re-check right before execution.
-        if (request.deadline < std::chrono::steady_clock::now()) {
-          responses[i].status = RequestStatus::kDeadlineExpired;
-          metrics_.RecordExpired();
-          continue;
-        }
-        metrics_.RecordLatencyModeQuery();
-        obs::QueryTrace* trace = (*batch)[i].trace.get();
-        // Traced queries always collect work counters — the trace
-        // attaches them — so the profile lands in the response either way.
-        index::QueryProfile* profile = request.collect_profile ||
-                                               trace != nullptr
-                                           ? &responses[i].profile
-                                           : nullptr;
-        if (snapshot.is_sharded()) {
-          // Intra-query parallelism of a sharded generation = one worker
-          // per shard task plus one per insert-buffer scan when the
-          // generation is ingesting — the whole query fans through a
-          // single executor batch and gathers in the exact merge.
-          // Scatter on the service's pool, not the pool the index was
-          // built with (which may be a short-lived builder pool).
-          const shard::ShardedIndex& sharded = *snapshot.sharded;
-          const std::size_t num_shards = sharded.num_shards();
-          const std::size_t buffer_tasks = BufferTaskCount(snapshot);
-          const std::size_t total_tasks = num_shards + buffer_tasks;
-          std::vector<std::vector<Neighbor>> results(total_tasks);
-          std::vector<index::QueryProfile> profiles(
-              profile != nullptr ? total_tasks : 0);
-          std::vector<QueryTask> tasks(total_tasks);
-          const int scatter_span =
-              trace != nullptr ? trace->BeginSpan(kSpanScatter) : -1;
-          for (std::size_t s = 0; s < num_shards; ++s) {
-            QueryTask& task = tasks[s];
-            task.index = sharded.shard(s).tree.get();
-            task.query = request.query.data();
-            task.k = request.k + (k_extra.empty() ? 0 : k_extra[s]);
-            task.epsilon = request.epsilon;
-            task.result = &results[s];
-            task.profile = profile != nullptr ? &profiles[s] : nullptr;
-            if (trace != nullptr) {
-              task.trace = trace;
-              task.span = trace->AllocateSpan(kSpanShardScan, scatter_span);
-            }
-          }
-          if (buffer_tasks > 0) {
-            FillBufferTasks(snapshot, request, tombstones.get(),
-                            /*with_deadline=*/false, &tasks, num_shards,
-                            &results, &profiles);
-            if (trace != nullptr) {
-              for (std::size_t t = num_shards; t < total_tasks; ++t) {
-                tasks[t].trace = trace;
-                tasks[t].span =
-                    trace->AllocateSpan(kSpanBufferScan, scatter_span);
-                // FillBufferTasks only wires profiles for collect_profile
-                // requests; traced queries want the buffer work counted
-                // too.
-                if (tasks[t].profile == nullptr) {
-                  tasks[t].profile = &profiles[t];
-                }
-              }
-            }
-          }
-          RunTaskBatch(&tasks, pool_, config_.num_threads);
-          if (trace != nullptr) {
-            trace->EndSpan(scatter_span);
-          }
-          if (profile != nullptr) {
-            for (const index::QueryProfile& task_profile : profiles) {
-              profile->Merge(task_profile);
-            }
-          }
-          std::vector<std::vector<Neighbor>> per_shard(
-              std::make_move_iterator(results.begin()),
-              std::make_move_iterator(
-                  results.begin() + static_cast<std::ptrdiff_t>(num_shards)));
-          std::vector<std::vector<Neighbor>> extras;
-          for (std::size_t t = num_shards; t < total_tasks; ++t) {
-            if (!results[t].empty()) {
-              extras.push_back(std::move(results[t]));
-            }
-          }
-          std::uint64_t filtered = 0;
-          const int merge_span =
-              trace != nullptr ? trace->BeginSpan(kSpanMerge) : -1;
-          responses[i].neighbors = sharded.MergeTopK(
-              per_shard, request.k, std::move(extras), tombstones.get(),
-              &filtered);
-          if (trace != nullptr) {
-            trace->EndSpan(merge_span);
-          }
-          if (profile != nullptr) {
-            profile->candidates_filtered += filtered;
-          }
-        } else {
-          const int search_span =
-              trace != nullptr ? trace->BeginSpan(kSpanSearch) : -1;
-          const index::QueryEngine engine(snapshot.tree);
-          responses[i].neighbors =
-              engine.Search(request.query.data(), request.k, request.epsilon,
-                            profile, config_.num_threads);
-          if (trace != nullptr) {
-            trace->EndSpan(search_span);
-          }
-        }
-      }
-    } else if (snapshot.is_sharded()) {
-      ExecuteShardedThroughput(snapshot, batch, runnable, &responses);
-    } else {
-      std::vector<QueryTask> tasks(runnable.size());
-      for (std::size_t t = 0; t < runnable.size(); ++t) {
-        const std::size_t i = runnable[t];
-        const SearchRequest& request = (*batch)[i].request;
-        obs::QueryTrace* trace = (*batch)[i].trace.get();
-        tasks[t].query = request.query.data();
-        tasks[t].k = request.k;
-        tasks[t].epsilon = request.epsilon;
-        tasks[t].deadline = request.deadline;
-        tasks[t].profile = request.collect_profile || trace != nullptr
-                               ? &responses[i].profile
-                               : nullptr;
-        tasks[t].result = &responses[i].neighbors;
-        if (trace != nullptr) {
-          tasks[t].trace = trace;
-          tasks[t].span = trace->AllocateSpan(kSpanSearch);
-        }
-      }
-      RunThroughputBatch(*snapshot.tree, &tasks, pool_, config_.num_threads);
-      metrics_.RecordThroughputBatch(runnable.size());
-      for (std::size_t t = 0; t < runnable.size(); ++t) {
-        if (tasks[t].expired) {
-          responses[runnable[t]].status = RequestStatus::kDeadlineExpired;
-          metrics_.RecordExpired();
-        }
+  // Every generation is sharded, so every group of queries runs alike:
+  // one executor batch of (query × source) tasks — a source is a shard
+  // tree or a non-null insert buffer — then one exact merge per query.
+  // Latency mode makes each request its own group (on a one-shard
+  // generation that is one task, which the executor runs with
+  // intra-query parallelism); throughput mode makes the whole batch one
+  // group, load-balanced across the workers.
+  const shard::ShardedIndex& sharded = *snapshot.sharded;
+  const std::size_t num_shards = sharded.num_shards();
+  std::vector<std::size_t> buffered_shards;
+  if (snapshot.is_ingesting()) {
+    for (std::size_t s = 0; s < snapshot.buffers->buffers.size(); ++s) {
+      if (snapshot.buffers->buffers[s] != nullptr) {
+        buffered_shards.push_back(s);
       }
     }
   }
+  // One tombstone snapshot for the whole batch (every request here was
+  // submitted before the batch started, so batch-time visibility
+  // satisfies the delete contract); each shard task over-fetches by that
+  // shard's resident tombstone count so the merges can filter without
+  // losing live candidates.
+  const auto tombstones = TombstoneViewOf(snapshot);
+  const std::vector<std::size_t> k_extra =
+      tombstones != nullptr ? ShardKExtra(snapshot, *tombstones)
+                            : std::vector<std::size_t>(num_shards, 0);
+  const std::size_t sources = num_shards + buffered_shards.size();
+  const bool latency_mode = runnable.size() <= config_.latency_mode_threshold;
+  const std::size_t group_size = latency_mode ? 1 : runnable.size();
+  for (std::size_t first = 0; first < runnable.size(); first += group_size) {
+    const std::size_t* group = &runnable[first];
+    // Tasks, results and profiles line up: query q's sources occupy
+    // slots [q * sources, (q + 1) * sources), shard trees first.
+    const std::size_t total_tasks = group_size * sources;
+    std::vector<std::vector<Neighbor>> results(total_tasks);
+    std::vector<index::QueryProfile> profiles(total_tasks);
+    std::vector<QueryTask> tasks(total_tasks);
+    // One scatter span per traced query: it brackets the shared executor
+    // run, inside which the per-task shard/buffer spans get stamped.
+    std::vector<int> scatter_spans(group_size, -1);
+    for (std::size_t q = 0; q < group_size; ++q) {
+      const SearchRequest& request = (*batch)[group[q]].request;
+      obs::QueryTrace* trace = (*batch)[group[q]].trace.get();
+      // Traced queries always collect work counters — the trace attaches
+      // them — so the profile lands in the response either way.
+      const bool want_profile = request.collect_profile || trace != nullptr;
+      if (trace != nullptr) {
+        scatter_spans[q] = trace->BeginSpan(kSpanScatter);
+      }
+      for (std::size_t j = 0; j < sources; ++j) {
+        const std::size_t t = q * sources + j;
+        QueryTask& task = tasks[t];
+        task.query = request.query.data();
+        task.k = request.k;
+        task.epsilon = request.epsilon;
+        task.deadline = request.deadline;
+        task.result = &results[t];
+        task.profile = want_profile ? &profiles[t] : nullptr;
+        if (j < num_shards) {
+          task.index = sharded.shard(j).tree.get();
+          task.k += k_extra[j];
+        } else {
+          const std::size_t s = buffered_shards[j - num_shards];
+          task.buffer = snapshot.buffers->buffers[s].get();
+          task.buffer_start = snapshot.buffers->start[s];
+          task.exclude = tombstones.get();
+        }
+        if (trace != nullptr) {
+          task.trace = trace;
+          task.span = trace->AllocateSpan(
+              j < num_shards ? kSpanShardScan : kSpanBufferScan,
+              scatter_spans[q]);
+        }
+      }
+    }
+    RunTaskBatch(&tasks, pool_, config_.num_threads);
+    for (std::size_t q = 0; q < group_size; ++q) {
+      if ((*batch)[group[q]].trace != nullptr) {
+        (*batch)[group[q]].trace->EndSpan(scatter_spans[q]);
+      }
+    }
+    if (!latency_mode) {
+      metrics_.RecordThroughputBatch(group_size);
+    }
 
+    for (std::size_t q = 0; q < group_size; ++q) {
+      SearchResponse& response = responses[group[q]];
+      const SearchRequest& request = (*batch)[group[q]].request;
+      obs::QueryTrace* trace = (*batch)[group[q]].trace.get();
+      // A query with any expired task has no exact answer — fail it
+      // whole rather than merge a subset of its sources.
+      const auto query_tasks = tasks.begin() + static_cast<std::ptrdiff_t>(
+                                                   q * sources);
+      if (std::any_of(query_tasks, query_tasks + sources,
+                      [](const QueryTask& task) { return task.expired; })) {
+        response.status = RequestStatus::kDeadlineExpired;
+        metrics_.RecordExpired();
+        continue;
+      }
+      if (latency_mode) {
+        metrics_.RecordLatencyModeQuery();
+      }
+      const bool want_profile = request.collect_profile || trace != nullptr;
+      std::vector<std::vector<Neighbor>> per_shard(num_shards);
+      std::vector<std::vector<Neighbor>> extras;
+      for (std::size_t j = 0; j < sources; ++j) {
+        const std::size_t t = q * sources + j;
+        if (want_profile) {
+          response.profile.Merge(profiles[t]);
+        }
+        if (j < num_shards) {
+          per_shard[j] = std::move(results[t]);
+        } else if (!results[t].empty()) {
+          extras.push_back(std::move(results[t]));
+        }
+      }
+      std::uint64_t filtered = 0;
+      const int merge_span =
+          trace != nullptr ? trace->BeginSpan(kSpanMerge) : -1;
+      response.neighbors = sharded.MergeTopK(per_shard, request.k,
+                                             std::move(extras),
+                                             tombstones.get(), &filtered);
+      if (trace != nullptr) {
+        trace->EndSpan(merge_span);
+      }
+      if (want_profile) {
+        response.profile.candidates_filtered += filtered;
+      }
+    }
+  }
   FinishBatch(batch, &responses);
 }
 
@@ -644,7 +563,6 @@ obs::Histogram* SearchService::StageHistogram(const char* span_name) {
   if (span_name == kSpanShardScan) return stage_shard_scan_;
   if (span_name == kSpanBufferScan) return stage_buffer_scan_;
   if (span_name == kSpanMerge) return stage_merge_;
-  if (span_name == kSpanSearch) return stage_search_;
   return nullptr;
 }
 
@@ -652,7 +570,6 @@ const SearchService::StagePerfHistograms* SearchService::StagePerf(
     const char* span_name) const {
   if (span_name == kSpanShardScan) return &perf_shard_scan_;
   if (span_name == kSpanBufferScan) return &perf_buffer_scan_;
-  if (span_name == kSpanSearch) return &perf_search_;
   return nullptr;
 }
 
@@ -705,137 +622,6 @@ void SearchService::FinishTrace(PendingRequest* pending,
   if (pending->request.collect_trace) {
     response->trace =
         std::make_shared<const obs::TraceRecord>(std::move(record));
-  }
-}
-
-// Throughput mode over a sharded generation: the whole batch flattens to
-// (query × shard) single-threaded tasks — plus one (query × buffer) scan
-// task per non-null insert buffer when the generation is ingesting — so
-// the executor load-balances the scatter of all queries at once; then
-// each query's per-shard heaps and buffer answers are gathered into its
-// exact global top-k.
-void SearchService::ExecuteShardedThroughput(
-    const IndexSnapshot& snapshot, std::vector<PendingRequest>* batch,
-    const std::vector<std::size_t>& runnable,
-    std::vector<SearchResponse>* responses) {
-  const shard::ShardedIndex& sharded = *snapshot.sharded;
-  const std::size_t num_shards = sharded.num_shards();
-  // One tombstone snapshot for the whole batch (it runs against one
-  // generation); each shard task over-fetches by that shard's resident
-  // tombstone count so the per-query merges can filter without losing
-  // live candidates.
-  const auto tombstones = TombstoneViewOf(snapshot);
-  std::vector<std::size_t> k_extra;
-  if (tombstones != nullptr) {
-    k_extra = ShardKExtra(snapshot, *tombstones);
-  }
-  // Task layout: the (query × shard) tree block first, then one
-  // per-query buffer block — every slot of `results`/`profiles` lines up
-  // with its task index.
-  const std::size_t tree_tasks = runnable.size() * num_shards;
-  const std::size_t buffer_tasks = BufferTaskCount(snapshot);
-  const std::size_t total_tasks =
-      tree_tasks + runnable.size() * buffer_tasks;
-  std::vector<std::vector<Neighbor>> results(total_tasks);
-  std::vector<index::QueryProfile> profiles(total_tasks);
-  std::vector<QueryTask> tasks(total_tasks);
-  // One scatter span per traced query: it brackets the shared executor
-  // run, inside which the per-task shard/buffer spans get stamped.
-  std::vector<int> scatter_spans(runnable.size(), -1);
-  for (std::size_t q = 0; q < runnable.size(); ++q) {
-    const SearchRequest& request = (*batch)[runnable[q]].request;
-    obs::QueryTrace* trace = (*batch)[runnable[q]].trace.get();
-    const bool want_profile = request.collect_profile || trace != nullptr;
-    if (trace != nullptr) {
-      scatter_spans[q] = trace->BeginSpan(kSpanScatter);
-    }
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      QueryTask& task = tasks[q * num_shards + s];
-      task.index = sharded.shard(s).tree.get();
-      task.query = request.query.data();
-      task.k = request.k + (k_extra.empty() ? 0 : k_extra[s]);
-      task.epsilon = request.epsilon;
-      task.deadline = request.deadline;
-      task.result = &results[q * num_shards + s];
-      task.profile =
-          want_profile ? &profiles[q * num_shards + s] : nullptr;
-      if (trace != nullptr) {
-        task.trace = trace;
-        task.span = trace->AllocateSpan(kSpanShardScan, scatter_spans[q]);
-      }
-    }
-    if (buffer_tasks > 0) {
-      FillBufferTasks(snapshot, request, tombstones.get(),
-                      /*with_deadline=*/true, &tasks,
-                      tree_tasks + q * buffer_tasks, &results, &profiles);
-      if (trace != nullptr) {
-        for (std::size_t b = 0; b < buffer_tasks; ++b) {
-          QueryTask& task = tasks[tree_tasks + q * buffer_tasks + b];
-          task.trace = trace;
-          task.span = trace->AllocateSpan(kSpanBufferScan, scatter_spans[q]);
-          if (task.profile == nullptr) {
-            task.profile = &profiles[tree_tasks + q * buffer_tasks + b];
-          }
-        }
-      }
-    }
-  }
-  RunTaskBatch(&tasks, pool_, config_.num_threads);
-  for (std::size_t q = 0; q < runnable.size(); ++q) {
-    if ((*batch)[runnable[q]].trace != nullptr) {
-      (*batch)[runnable[q]].trace->EndSpan(scatter_spans[q]);
-    }
-  }
-  metrics_.RecordThroughputBatch(runnable.size());
-
-  for (std::size_t q = 0; q < runnable.size(); ++q) {
-    SearchResponse& response = (*responses)[runnable[q]];
-    const SearchRequest& request = (*batch)[runnable[q]].request;
-    obs::QueryTrace* trace = (*batch)[runnable[q]].trace.get();
-    const bool want_profile = request.collect_profile || trace != nullptr;
-    // A query whose scatter partially expired has no exact answer — fail
-    // it whole rather than merge a subset of its tree/buffer sources.
-    bool expired = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      expired = expired || tasks[q * num_shards + s].expired;
-    }
-    for (std::size_t b = 0; b < buffer_tasks; ++b) {
-      expired = expired || tasks[tree_tasks + q * buffer_tasks + b].expired;
-    }
-    if (expired) {
-      response.status = RequestStatus::kDeadlineExpired;
-      metrics_.RecordExpired();
-      continue;
-    }
-    std::vector<std::vector<Neighbor>> per_shard(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      per_shard[s] = std::move(results[q * num_shards + s]);
-      if (want_profile) {
-        response.profile.Merge(profiles[q * num_shards + s]);
-      }
-    }
-    std::vector<std::vector<Neighbor>> extras;
-    for (std::size_t b = 0; b < buffer_tasks; ++b) {
-      const std::size_t t = tree_tasks + q * buffer_tasks + b;
-      if (want_profile) {
-        response.profile.Merge(profiles[t]);
-      }
-      if (!results[t].empty()) {
-        extras.push_back(std::move(results[t]));
-      }
-    }
-    std::uint64_t filtered = 0;
-    const int merge_span =
-        trace != nullptr ? trace->BeginSpan(kSpanMerge) : -1;
-    response.neighbors = sharded.MergeTopK(per_shard, request.k,
-                                           std::move(extras),
-                                           tombstones.get(), &filtered);
-    if (trace != nullptr) {
-      trace->EndSpan(merge_span);
-    }
-    if (want_profile) {
-      response.profile.candidates_filtered += filtered;
-    }
   }
 }
 

@@ -3,30 +3,28 @@
 //
 // Clients Submit() k-NN requests from any number of threads; a bounded
 // admission queue sheds load beyond its capacity (kRejected). A dedicated
-// dispatcher thread drains the queue in batches and adapts parallelism to
-// load:
+// dispatcher thread drains the queue in batches and runs them all down
+// one path: every generation is a shard::ShardedIndex (a single tree is a
+// one-shard index, see snapshot.h), every query is one task per source —
+// shard tree or insert buffer — run through RunTaskBatch, and every
+// answer comes out of the exact merge (ShardedIndex::MergeTopK). Only the
+// grouping adapts to load:
 //
-//   * light load (batch ≤ latency_mode_threshold): each query runs with
-//     full intra-query parallelism — the paper's exploratory protocol,
-//     minimal latency;
-//   * heavy load: the batch runs through the cross-query executor, one
-//     worker thread per query — maximal throughput at the same total
-//     core count.
+//   * light load (batch ≤ latency_mode_threshold): one executor batch per
+//     query. A one-shard query is a lone task, which the executor runs
+//     with full intra-query parallelism — the paper's protocol;
+//   * heavy load: one executor batch of (query × source) tasks, each
+//     single-threaded — maximal throughput at the same core count.
 //
-// Both modes are exact: answers are identical to a sequential
-// QueryEngine::Search. The service owns the live index generation behind
-// a std::shared_ptr<const IndexSnapshot>; Publish() swaps it without
-// stopping traffic (in-flight batches finish on the generation they
-// started with). Serving metrics (QPS, latency percentiles, admission
-// counts, merged pruning profiles) accumulate in a MetricsCollector.
-//
-// A generation may be sharded (shard::ShardedIndex): queries then
-// scatter across the shards — in latency mode one query at a time with
-// one worker per shard, in throughput mode the whole batch flattened to
-// (query × shard) tasks — and gather through the exact tournament merge,
-// so sharded answers are identical to single-index answers over the same
-// collection. Publishing a derived generation with a single shard
-// rebuilt/replaced is the per-shard republish path.
+// Answers are exact in both modes and match a sequential
+// QueryEngine::Search, with distance ties broken by the lowest global id
+// (single-tree generations included). A query with any expired task
+// fails whole (kDeadlineExpired); a traced query records admission →
+// scatter → shard_scan×N (+ buffer_scan×B) → merge. The service owns the
+// live generation behind a std::shared_ptr<const IndexSnapshot>;
+// Publish() swaps it without stopping traffic (in-flight batches finish
+// on the generation they started with), which is also the per-shard
+// republish path. Serving metrics accumulate in a MetricsCollector.
 //
 // Admission understands per-request priority classes (interactive >
 // batch > background): each class has its own FIFO inside the shared
@@ -82,12 +80,14 @@ struct ServiceConfig {
   /// Most requests drained per dispatch round (one executor batch).
   std::size_t max_batch = 64;
 
-  /// Batches of at most this many requests run in latency mode (full
-  /// intra-query parallelism); larger batches run in throughput mode
-  /// (one thread per query). 0 forces throughput mode for everything.
+  /// Batches of at most this many requests run in latency mode (one
+  /// executor batch per query); larger batches run in throughput mode
+  /// (one executor batch for all, one thread per task). 0 forces
+  /// throughput mode for everything.
   std::size_t latency_mode_threshold = 1;
 
-  /// Worker threads used per dispatch round (0 = pool size).
+  /// Worker threads per executor batch (0 = pool size); for a lone task,
+  /// its intra-query thread count (0 = the index's configured count).
   std::size_t num_threads = 0;
 
   /// Start with the dispatcher paused (requests queue up until Resume()).
@@ -199,12 +199,10 @@ class SearchService {
   /// every promise (outside the lock).
   void FinishBatch(std::vector<PendingRequest>* batch,
                    std::vector<SearchResponse>* responses);
+  /// The one execution routine: admission checks, then one executor
+  /// batch of (query × source) tasks per group and one merge per query.
   void ExecuteBatch(std::vector<PendingRequest>* batch,
                     const IndexSnapshot& snapshot, std::uint64_t version);
-  void ExecuteShardedThroughput(const IndexSnapshot& snapshot,
-                                std::vector<PendingRequest>* batch,
-                                const std::vector<std::size_t>& runnable,
-                                std::vector<SearchResponse>* responses);
   /// Seals a traced request: attaches profile counters, feeds the stage
   /// histograms, pushes to the slow log, hands the record to the caller
   /// when requested. Must run before the response promise resolves.
@@ -236,12 +234,10 @@ class SearchService {
   obs::Histogram* stage_shard_scan_ = nullptr;
   obs::Histogram* stage_buffer_scan_ = nullptr;
   obs::Histogram* stage_merge_ = nullptr;
-  obs::Histogram* stage_search_ = nullptr;
   // Perf attribution of the executor-run scan stages (the spans the
   // workers bracket with obs::PerfCounters).
   StagePerfHistograms perf_shard_scan_;
   StagePerfHistograms perf_buffer_scan_;
-  StagePerfHistograms perf_search_;
 
   std::mutex shutdown_mutex_;  // serializes Shutdown() callers
   mutable std::mutex mutex_;

@@ -8,10 +8,10 @@
 // never invalidates an in-flight query — the old generation is destroyed
 // when its last running query drops the reference.
 //
-// A generation is either a single TreeIndex (`tree`) or a sharded one
-// (`sharded`), never both: a sharded index is swappable exactly like a
-// single one, and a derived sharded generation (one shard rebuilt or
-// replaced) republishes through the same path.
+// Every generation is a shard::ShardedIndex: a single tree is served as
+// a one-shard index over its own collection (WrapIndex,
+// AdoptLoadedIndex), so one query path covers single, sharded and
+// derived generations (one shard rebuilt or replaced) alike.
 //
 // An *ingesting* sharded generation additionally carries ShardBuffers:
 // live per-shard insert buffers plus, per shard, the first buffer row its
@@ -75,38 +75,21 @@ struct ShardBuffers {
       tombstone_shard_counts;
 };
 
-/// One published index generation. Exactly one of `tree` and `sharded` is
-/// set; the remaining members are optional keep-alive handles for
-/// whatever parts of the generation the snapshot owns (a borrowed index
-/// leaves them empty — the caller then guarantees the lifetime instead;
-/// a ShardedIndex always keeps its own parts alive).
+/// One published index generation: the sharded index (always set) plus,
+/// on an ingesting generation, its live insert buffers and tombstones.
+/// The ShardedIndex shares ownership of its shards; a generation wrapped
+/// from a borrowed tree leaves that tree's lifetime to the caller.
 struct IndexSnapshot {
-  std::shared_ptr<const Dataset> data;
-  std::unique_ptr<quant::SummaryScheme> scheme;
-  std::unique_ptr<index::TreeIndex> owned_tree;
-  const index::TreeIndex* tree = nullptr;
   std::shared_ptr<const shard::ShardedIndex> sharded;
 
-  /// Set only on an ingesting sharded generation (see header comment).
+  /// Set only on an ingesting generation (see header comment).
   std::shared_ptr<const ShardBuffers> buffers;
 
-  bool is_sharded() const { return sharded != nullptr; }
   bool is_ingesting() const { return buffers != nullptr; }
 
   /// Series length queries against this generation must have.
-  std::size_t series_length() const {
-    return sharded != nullptr ? sharded->length() : tree->data().length();
-  }
+  std::size_t series_length() const { return sharded->length(); }
 };
-
-/// Wraps an externally owned index (the common case for benches and tests:
-/// index, scheme and dataset outlive the service).
-inline std::shared_ptr<const IndexSnapshot> WrapIndex(
-    const index::TreeIndex* tree) {
-  auto snapshot = std::make_shared<IndexSnapshot>();
-  snapshot->tree = tree;
-  return snapshot;
-}
 
 /// Wraps a sharded index; the ShardedIndex shares ownership of its shards,
 /// so the snapshot needs no further keep-alive handles.
@@ -115,6 +98,16 @@ inline std::shared_ptr<const IndexSnapshot> WrapShardedIndex(
   auto snapshot = std::make_shared<IndexSnapshot>();
   snapshot->sharded = std::move(sharded);
   return snapshot;
+}
+
+/// Wraps an externally owned index as a one-shard generation (the common
+/// case for benches and tests: index, scheme and dataset outlive the
+/// service).
+inline std::shared_ptr<const IndexSnapshot> WrapIndex(
+    const index::TreeIndex* tree) {
+  return WrapShardedIndex(shard::ShardedIndex::FromTree(
+      std::shared_ptr<const index::TreeIndex>(
+          std::shared_ptr<const index::TreeIndex>(), tree)));
 }
 
 /// Wraps an ingesting sharded generation: the trees of `sharded` plus the
@@ -129,27 +122,22 @@ inline std::shared_ptr<const IndexSnapshot> WrapIngestingIndex(
   return snapshot;
 }
 
-/// Takes ownership of a snapshot's parts — e.g. a freshly built index
-/// generation. Any handle may be null except `tree`.
-inline std::shared_ptr<const IndexSnapshot> MakeSnapshot(
-    std::shared_ptr<const Dataset> data,
-    std::unique_ptr<quant::SummaryScheme> scheme,
-    std::unique_ptr<index::TreeIndex> tree) {
-  auto snapshot = std::make_shared<IndexSnapshot>();
-  snapshot->data = std::move(data);
-  snapshot->scheme = std::move(scheme);
-  snapshot->owned_tree = std::move(tree);
-  snapshot->tree = snapshot->owned_tree.get();
-  return snapshot;
-}
-
-/// Adopts the result of index::LoadIndex (scheme + tree), optionally with
-/// a keep-alive handle on the collection it was loaded against — the
-/// serialization → hot-swap path.
+/// Adopts the result of index::LoadIndex (scheme + tree) as a one-shard
+/// generation, optionally with a keep-alive handle on the collection it
+/// was loaded against — the serialization → hot-swap path.
 inline std::shared_ptr<const IndexSnapshot> AdoptLoadedIndex(
     index::LoadedIndex loaded, std::shared_ptr<const Dataset> data = nullptr) {
-  return MakeSnapshot(std::move(data), std::move(loaded.scheme),
-                      std::move(loaded.tree));
+  // One owner for all three parts; members destroy tree first.
+  struct Parts {
+    std::shared_ptr<const Dataset> data;
+    std::unique_ptr<quant::SummaryScheme> scheme;
+    std::unique_ptr<index::TreeIndex> tree;
+  };
+  auto parts = std::make_shared<Parts>(Parts{
+      std::move(data), std::move(loaded.scheme), std::move(loaded.tree)});
+  const index::TreeIndex* tree = parts->tree.get();
+  return WrapShardedIndex(shard::ShardedIndex::FromTree(
+      std::shared_ptr<const index::TreeIndex>(parts, tree)));
 }
 
 }  // namespace service

@@ -1,6 +1,7 @@
 #include "shard/sharded_index.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
 #include <utility>
 
@@ -115,6 +116,27 @@ std::shared_ptr<const ShardedIndex> ShardedIndex::FromShards(
     std::size_t length, ThreadPool* pool) {
   return std::shared_ptr<const ShardedIndex>(
       new ShardedIndex(std::move(shards), config, length, pool));
+}
+
+std::shared_ptr<const ShardedIndex> ShardedIndex::FromTree(
+    std::shared_ptr<const index::TreeIndex> tree) {
+  SOFA_CHECK(tree != nullptr);
+  std::vector<Shard> shards(1);
+  Shard& shard = shards[0];
+  shard.data = std::shared_ptr<const Dataset>(tree, &tree->data());
+  shard.scheme =
+      std::shared_ptr<const quant::SummaryScheme>(tree, &tree->scheme());
+  auto ids = std::make_shared<std::vector<std::uint32_t>>(tree->data().size());
+  std::iota(ids->begin(), ids->end(), 0u);
+  shard.global_ids = std::move(ids);
+  ShardingConfig config;
+  config.num_shards = 1;
+  config.index = tree->config();
+  config.enable_rowq = tree->rowq() != nullptr;
+  const std::size_t length = tree->data().length();
+  ThreadPool* pool = tree->pool();
+  shard.tree = std::move(tree);
+  return FromShards(std::move(shards), config, length, pool);
 }
 
 std::shared_ptr<const ShardedIndex> ShardedIndex::WithShardRebuilt(

@@ -142,6 +142,15 @@ class ShardedIndex {
       std::vector<Shard> shards, const ShardingConfig& config,
       std::size_t length, ThreadPool* pool);
 
+  /// Wraps one built tree as a one-shard index over the tree's own
+  /// collection: the shard aliases that collection (no row copy) under an
+  /// identity id map, and its scheme and data handles share `tree`'s
+  /// owner — so an owning handle keeps all three alive and a borrowed
+  /// one (empty owner) leaves their lifetime to the caller. Per-shard
+  /// config (index config, rowq tier) is read off the tree.
+  static std::shared_ptr<const ShardedIndex> FromTree(
+      std::shared_ptr<const index::TreeIndex> tree);
+
   /// Exact global k-NN: scatters one single-threaded task per shard
   /// through the service executor on `num_workers` workers (0 = pool
   /// size) of `pool` (null = the pool the index was built with), then
@@ -167,10 +176,10 @@ class ShardedIndex {
   /// `k_extra`, when given (size num_shards), deepens shard s's search to
   /// k + (*k_extra)[s] — the ingest path's per-shard tombstone widening,
   /// so the true live top-k survives the merge filter without every
-  /// shard over-fetching by the global tombstone count. Exposed so the
-  /// serving layer can gather tree answers together with insert-buffer
-  /// answers in a single MergeTopK. Same threading contract as
-  /// SearchKnn.
+  /// shard over-fetching by the global tombstone count. Exposed so a
+  /// caller can gather tree answers together with other global lists
+  /// (insert-buffer answers) in a single MergeTopK. Same threading
+  /// contract as SearchKnn.
   void ScatterKnn(const float* query, std::size_t k, double epsilon,
                   std::vector<std::vector<Neighbor>>* per_shard,
                   std::vector<index::QueryProfile>* profiles,

@@ -1,11 +1,14 @@
 // Tests for the concurrent query-serving subsystem: exactness under
 // concurrency (service answers == sequential engine answers), scheduling
-// modes, admission control (saturation + rejection), deadline expiry,
+// modes, the one execution path every generation shape runs through, admission control (saturation + rejection), deadline expiry,
 // index hot-swap during in-flight traffic, the serialization → hot-swap
 // path, and serving-metrics accounting.
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/distance.h"
+#include "harness/oracle.h"
 #include "index/query_engine.h"
 #include "index/serialization.h"
 #include "index/tree_index.h"
@@ -406,6 +411,113 @@ TEST(SearchServiceTest, SerializedReloadPublishesBitIdenticalAnswers) {
   }
 }
 
+// ------------------------------------------------------ one serving path
+
+// Brute force over the engines' own distance kernel (the early-abandoning
+// one, which never abandons under an infinite bound), so its answers
+// compare bit for bit; ties go to the lowest id.
+std::vector<Neighbor> BruteForceWithEngineKernel(const Dataset& data,
+                                                 const float* query,
+                                                 std::size_t k) {
+  std::vector<Neighbor> all(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    all[i] = Neighbor{static_cast<std::uint32_t>(i),
+                      std::sqrt(SquaredEuclideanEarlyAbandon(
+                          query, data.row(i), data.length(),
+                          std::numeric_limits<float>::infinity()))};
+  }
+  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
+    return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
+  });
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+// A single tree and a 2-shard generation run the same path in latency
+// mode and in forced throughput mode: answers are bit-identical to the
+// engine and to brute force, and every traced query records exactly
+// admission → scatter → shard_scan×N → merge.
+TEST(SearchServiceTest, OnePathServesEveryGenerationInBothModes) {
+  ThreadPool pool(4);
+  const Dataset data = Walk(3000, 96, 91);
+  const Dataset queries = Walk(12, 96, 92);
+  constexpr std::size_t kK = 5;
+  const auto scheme = testing_harness::TrainTestScheme(data, &pool);
+  index::IndexConfig index_config;
+  index_config.leaf_capacity = 100;
+  const index::TreeIndex tree(&data, scheme.get(), index_config, &pool);
+  const index::QueryEngine engine(&tree);
+  const auto two_shards = testing_harness::BuildTestSharded(
+      data, 2, shard::ShardAssignment::kContiguous, scheme, &pool);
+
+  struct Generation {
+    const char* name;
+    std::shared_ptr<const IndexSnapshot> snapshot;
+    std::size_t shards;
+  };
+  const Generation generations[] = {{"WrapIndex", WrapIndex(&tree), 1},
+                                    {"2 shards", WrapShardedIndex(two_shards),
+                                     2}};
+  for (const Generation& generation : generations) {
+    for (const bool latency_mode : {true, false}) {
+      SCOPED_TRACE(std::string(generation.name) +
+                   (latency_mode ? " / latency" : " / throughput"));
+      ServiceConfig config;
+      config.latency_mode_threshold = latency_mode ? 1 : 0;
+      // Throughput mode gets a staged backlog, so one executor batch
+      // carries every query's tasks; latency mode takes them one by one.
+      config.start_paused = !latency_mode;
+      SearchService service(generation.snapshot, &pool, config);
+      std::vector<std::future<SearchResponse>> futures;
+      std::vector<SearchResponse> responses;
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        SearchRequest request =
+            testing_harness::MakeSearchRequest(queries, q, kK);
+        request.collect_trace = true;
+        if (latency_mode) {
+          responses.push_back(service.Search(std::move(request)));
+        } else {
+          futures.push_back(service.Submit(std::move(request)));
+        }
+      }
+      service.Resume();
+      for (auto& future : futures) {
+        responses.push_back(future.get());
+      }
+
+      std::vector<std::string> expected_spans = {"admission", "scatter"};
+      expected_spans.insert(expected_spans.end(), generation.shards,
+                            "shard_scan");
+      expected_spans.push_back("merge");
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const SearchResponse& response = responses[q];
+        ASSERT_EQ(response.status, RequestStatus::kOk) << "query " << q;
+        EXPECT_TRUE(testing_harness::BitIdentical(
+            response.neighbors,
+            BruteForceWithEngineKernel(data, queries.row(q), kK)))
+            << "query " << q;
+        EXPECT_TRUE(testing_harness::BitIdentical(
+            response.neighbors, engine.Search(queries.row(q), kK)))
+            << "query " << q;
+        ASSERT_NE(response.trace, nullptr);
+        std::vector<std::string> spans;
+        for (const obs::TraceSpan& span : response.trace->spans) {
+          spans.push_back(span.name);
+        }
+        EXPECT_EQ(spans, expected_spans) << "query " << q;
+      }
+      const MetricsSnapshot metrics = service.Metrics();
+      if (latency_mode) {
+        EXPECT_EQ(metrics.latency_queries, queries.size());
+        EXPECT_EQ(metrics.throughput_batches, 0u);
+      } else {
+        EXPECT_EQ(metrics.latency_queries, 0u);
+        EXPECT_EQ(metrics.throughput_queries, queries.size());
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- metrics
 
 TEST(SearchServiceTest, MetricsAccountingAndProfiles) {
@@ -445,12 +557,13 @@ TEST(ExecutorTest, ThroughputBatchMatchesSequentialEngine) {
   std::vector<index::QueryProfile> profiles(queries.size());
   std::vector<QueryTask> tasks(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
+    tasks[q].index = engine.tree.get();
     tasks[q].query = queries.row(q);
     tasks[q].k = 5;
     tasks[q].profile = &profiles[q];
     tasks[q].result = &results[q];
   }
-  RunThroughputBatch(*engine.tree, &tasks, &engine.pool);
+  RunTaskBatch(&tasks, &engine.pool);
   const index::QueryEngine sequential(engine.tree.get());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const auto expected = sequential.Search(queries.row(q), 5);
@@ -465,6 +578,7 @@ TEST(ExecutorTest, TasksExpiringMidBatchAreSkippedAndFlagged) {
   std::vector<std::vector<Neighbor>> results(queries.size());
   std::vector<QueryTask> tasks(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
+    tasks[q].index = engine.tree.get();
     tasks[q].query = queries.row(q);
     tasks[q].k = 3;
     tasks[q].result = &results[q];
@@ -472,7 +586,7 @@ TEST(ExecutorTest, TasksExpiringMidBatchAreSkippedAndFlagged) {
   // One task is already past its drop-dead time when a worker reaches it.
   tasks[2].deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  RunThroughputBatch(*engine.tree, &tasks, &engine.pool);
+  RunTaskBatch(&tasks, &engine.pool);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     if (q == 2) {
       EXPECT_TRUE(tasks[q].expired);

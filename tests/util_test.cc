@@ -346,6 +346,23 @@ TEST(ThreadPoolTest, ParallelRunInvokesEveryWorkerOnce) {
   }
 }
 
+// ParallelRun's completion state lives on the caller's frame. Back-to-back
+// calls reuse that frame at once, so a worker still touching the previous
+// call's mutex after the caller returned corrupts the next call (or
+// aborts in pthread_mutex_lock). Near-empty closures keep the window
+// between the last worker's countdown and its unlock as wide as it gets.
+TEST(ThreadPoolTest, BackToBackParallelRunsNeverOutliveTheirFrame) {
+  ThreadPool pool(4);
+  std::atomic<std::uint64_t> calls(0);
+  constexpr int kRounds = 20000;
+  for (int round = 0; round < kRounds; ++round) {
+    ParallelRun(&pool, 4, [&](std::size_t) {
+      calls.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(calls.load(), 4u * kRounds);
+}
+
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   const std::size_t n = 10001;
