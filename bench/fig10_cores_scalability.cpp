@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   using namespace sofa::bench;
   Flags flags(argc, argv);
   const BenchOptions options = ParseBenchOptions(flags);
+  ExitOnHelpOrUnreadFlags(flags, "fig10_cores_scalability");
   PrintHeader("Fig. 10 — query-time distribution by cores", options);
 
   TablePrinter table({"Cores", "Method", "min", "q1", "median", "q3",

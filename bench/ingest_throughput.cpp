@@ -108,12 +108,11 @@ std::vector<std::size_t> ParseSizeList(const Flags& flags,
 // End-of-run registry dump: printed to stdout and, with --stats-json,
 // written to a file (what the bench-smoke CI step validates and the
 // perf-baseline harness diffs; the metadata block identifies the run).
-void DumpRegistry(obs::Registry* registry, const Flags& flags,
+void DumpRegistry(obs::Registry* registry, const std::string& path,
                   const std::string& metadata) {
   const std::string rendered = bench::WithBenchMetadata(
       obs::RenderJson(registry->Collect()), metadata);
   std::printf("\nregistry snapshot (JSON):\n%s", rendered.c_str());
-  const std::string path = flags.GetString("stats-json", "");
   if (path.empty()) {
     return;
   }
@@ -267,6 +266,11 @@ int main(int argc, char** argv) {
   // runs as the baseline mutation row.
   const std::vector<std::size_t> fsyncs =
       ParseSizeList(flags, "fsyncs", {1, 64, 0});
+  // With --wal-dir, each fsync interval also runs a WAL+generation-store
+  // row committing under --persist-dir.
+  const std::string persist_dir = flags.GetString("persist-dir", "");
+  const std::string stats_json = flags.GetString("stats-json", "");
+  ExitOnHelpOrUnreadFlags(flags, "ingest_throughput");
 
   std::printf("ingest_throughput — RW collection, %zu series x %zu + %zu "
               "inserts (delete ratio %.2f), %zu shards, k=%zu, T=%zu, "
@@ -318,7 +322,6 @@ int main(int argc, char** argv) {
   // own subdirectory, cleared first — the bench never recovers, and
   // stale segments from earlier runs would otherwise pile up
   // indefinitely (nothing here checkpoints or truncates).
-  const std::string persist_dir = flags.GetString("persist-dir", "");
   for (const std::size_t threshold : thresholds) {
     // Variants: no-WAL baseline, then per fsync interval a WAL-only run
     // and (with --persist-dir) a WAL+generation-store run.
@@ -400,7 +403,7 @@ int main(int argc, char** argv) {
               "filtering against rebuild timing, and the WAL trades fsync "
               "latency against the durability window — never "
               "correctness.\n");
-  DumpRegistry(&registry, flags,
+  DumpRegistry(&registry, stats_json,
                bench::BenchMetadataJson(
                    "ingest_throughput",
                    {{"n_series", std::to_string(n_series)},

@@ -241,6 +241,35 @@ void BM_LbdEarlyAbandon_Avx2(benchmark::State& state) {
 BENCHMARK(BM_LbdEarlyAbandon_Avx2);
 #endif
 
+// The engine's form: the same LBD read from the per-query lookup table
+// (one gather per SIMD chunk, no breakpoint arithmetic), dispatched tier.
+void BM_LbdTable(benchmark::State& state) {
+  const std::size_t l = static_cast<std::size_t>(state.range(0));
+  LbdSetup setup(l, 256);
+  std::vector<float> lut(l * 256);
+  quant::BuildLbdTable(setup.table, setup.weights.data(), setup.query.data(),
+                       lut.data());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        quant::LbdSquaredTable(lut.data(), l, 256, setup.word.data()));
+  }
+}
+BENCHMARK(BM_LbdTable)->Arg(16)->Arg(32);
+
+// What the table costs: built once per (query, tree).
+void BM_LbdTableBuild(benchmark::State& state) {
+  const std::size_t l = static_cast<std::size_t>(state.range(0));
+  LbdSetup setup(l, 256);
+  std::vector<float> lut(l * 256);
+  for (auto _ : state) {
+    quant::BuildLbdTable(setup.table, setup.weights.data(),
+                         setup.query.data(), lut.data());
+    benchmark::DoNotOptimize(lut.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LbdTableBuild)->Arg(16);
+
 // ----------------------------------------------------- summarizations
 
 void BM_RealDft(benchmark::State& state) {

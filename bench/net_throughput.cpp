@@ -346,22 +346,23 @@ int main(int argc, char** argv) {
   config.epsilon = flags.GetDouble("epsilon", 0.0);
   config.deadline_ms = flags.GetDouble("deadline_ms", 0.0);
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 7));
-
   const std::string port_file = flags.GetString("port-file", "");
-  if (!port_file.empty()) {
-    if (!ReadPortFile(port_file, &config.port)) {
-      std::fprintf(stderr, "cannot read a port from %s\n",
-                   port_file.c_str());
-      return 1;
-    }
-  } else {
-    config.port = static_cast<std::uint16_t>(flags.GetInt("port", 0));
+  config.port = static_cast<std::uint16_t>(flags.GetInt("port", 0));
+  const std::vector<std::string> mix = flags.GetList("mix");
+  const std::string mode = flags.GetString("mode", "closed");
+  // End-of-run stats fetch over the wire; --stats-json makes it a file
+  // the CI smoke step can validate.
+  const std::string stats_json = flags.GetString("stats-json", "");
+  ExitOnHelpOrUnreadFlags(flags, "net_throughput");
+
+  if (!port_file.empty() && !ReadPortFile(port_file, &config.port)) {
+    std::fprintf(stderr, "cannot read a port from %s\n", port_file.c_str());
+    return 1;
   }
   if (config.port == 0) {
     std::fprintf(stderr, "need --port or --port-file\n");
     return 1;
   }
-  const std::vector<std::string> mix = flags.GetList("mix");
   if (!mix.empty()) {
     if (mix.size() != 3) {
       std::fprintf(stderr, "--mix needs three percentages, e.g. 60,30,10\n");
@@ -372,7 +373,6 @@ int main(int argc, char** argv) {
     config.mix[0] = interactive;
     config.mix[1] = interactive + batch;
   }
-  const std::string mode = flags.GetString("mode", "closed");
   if (mode != "closed" && mode != "open" && mode != "both") {
     std::fprintf(stderr, "--mode must be closed|open|both\n");
     return 1;
@@ -412,9 +412,6 @@ int main(int argc, char** argv) {
     PrintResults(label, results, wall_seconds);
   }
 
-  // End-of-run stats fetch over the wire; --stats-json makes it a file
-  // the CI smoke step can validate.
-  const std::string stats_json = flags.GetString("stats-json", "");
   if (!stats_json.empty()) {
     net::SofaClient client;
     Status status = client.Connect(config.host, config.port);

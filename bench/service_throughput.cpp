@@ -96,12 +96,11 @@ std::vector<std::size_t> ParseSizeList(const Flags& flags,
 // perf-baseline harness diffs). The metadata block identifies the run —
 // git sha, ISA dispatch tier, dataset parameters — so tools/
 // bench_compare.py can refuse apples-to-oranges comparisons.
-void DumpRegistry(obs::Registry* registry, const Flags& flags,
+void DumpRegistry(obs::Registry* registry, const std::string& path,
                   const std::string& metadata) {
   const std::string rendered = bench::WithBenchMetadata(
       obs::RenderJson(registry->Collect()), metadata);
   std::printf("\nregistry snapshot (JSON):\n%s", rendered.c_str());
-  const std::string path = flags.GetString("stats-json", "");
   if (path.empty()) {
     return;
   }
@@ -137,6 +136,8 @@ int main(int argc, char** argv) {
       ParseSizeList(flags, "batches", {1, 8, 32, 128});
   const std::vector<std::size_t> shard_counts =
       ParseSizeList(flags, "shards", {1, 2, 4});
+  const std::string stats_json = flags.GetString("stats-json", "");
+  ExitOnHelpOrUnreadFlags(flags, "service_throughput");
 
   std::printf("service_throughput — RW collection, %zu series x %zu, "
               "%zu queries, k=%zu (%zu hardware threads)\n\n",
@@ -328,7 +329,7 @@ int main(int argc, char** argv) {
                 "coordination overhead that throughput mode removes.\n",
                 HardwareThreads());
   }
-  DumpRegistry(&registry, flags,
+  DumpRegistry(&registry, stats_json,
                bench::BenchMetadataJson(
                    "service_throughput",
                    {{"n_series", std::to_string(n_series)},

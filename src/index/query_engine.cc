@@ -11,6 +11,7 @@
 #include "core/distance.h"
 #include "quant/lbd.h"
 #include "quant/rowq.h"
+#include "util/aligned.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -125,6 +126,10 @@ struct QueryContext {
   const float* query;
   std::vector<float> projection;   // query in summary space
   std::vector<std::uint8_t> word;  // query's own word
+  // Per-series LBD lookup table of this query (quant::BuildLbdTable):
+  // word_length × alphabet terms, read by the dispatched tier that built
+  // it.
+  AlignedVector<float> lbd_table;
   // ε-approximation: lower bounds are inflated by this factor before being
   // compared against the BSF; 1.0 = exact search.
   float lbd_inflation_sq = 1.0f;
@@ -160,53 +165,60 @@ inline bool RowqPrunes(const QueryContext& ctx, std::uint32_t id, float bound,
   return false;
 }
 
+// The refine stages of one candidate: the rowq tier, then the
+// early-abandoning exact kernel at the live `bound`.
+inline void Refine(const QueryContext& ctx, std::uint32_t id, float bound,
+                   ResultSet* results, QueryProfile* profile) {
+  if (RowqPrunes(ctx, id, bound, profile)) {
+    return;
+  }
+  const Dataset& data = ctx.index->data();
+  const float d = SquaredEuclideanEarlyAbandon(ctx.query, data.row(id),
+                                               data.length(), bound);
+  ++profile->series_ed_computed;
+  if (d < bound) {
+    results->Update(id, d);
+  }
+}
+
 // Scans every series of a leaf with the real distance only (approximate
 // search seeding the BSF).
 void ScanLeafExact(const QueryContext& ctx, const Node& leaf,
                    ResultSet* results, QueryProfile* profile) {
-  const Dataset& data = ctx.index->data();
-  for (std::size_t i = 0; i < leaf.leaf_size(); ++i) {
-    const std::uint32_t id = leaf.series_ids[i];
-    const float bound = results->bsf_sq();
-    if (RowqPrunes(ctx, id, bound, profile)) {
-      continue;
-    }
-    const float d = SquaredEuclideanEarlyAbandon(ctx.query, data.row(id),
-                                                 data.length(), bound);
-    ++profile->series_ed_computed;
-    if (d < bound) {
-      results->Update(id, d);
-    }
+  for (const std::uint32_t id : leaf.series_ids) {
+    Refine(ctx, id, results->bsf_sq(), results, profile);
   }
 }
 
-// Scans a leaf with the LBD → real-distance cascade (Algorithm 3 call site).
+// Scans a leaf with the LBD → real-distance cascade (Algorithm 3 call
+// site) in two passes. Pass 1: the table LBD of every word against the
+// BSF at leaf entry, survivors into the worker's `scratch`.
 void ScanLeafPruned(const QueryContext& ctx, const Node& leaf,
-                    ResultSet* results, QueryProfile* profile) {
-  const Dataset& data = ctx.index->data();
+                    ResultSet* results, QueryProfile* profile,
+                    std::vector<quant::LbdCandidate>* scratch) {
   const quant::SummaryScheme& scheme = ctx.index->scheme();
-  const std::size_t l = scheme.word_length();
-  const float inflation = ctx.lbd_inflation_sq;
-  for (std::size_t i = 0; i < leaf.leaf_size(); ++i) {
+  const std::size_t n = leaf.leaf_size();
+  scratch->resize(std::max(scratch->size(), n));
+  const std::size_t survivors = quant::LbdTableFilter(
+      ctx.lbd_table.data(), scheme.word_length(), scheme.table().alphabet(),
+      leaf.words.data(), leaf.series_ids.data(), n, results->bsf_sq(),
+      ctx.lbd_inflation_sq, scratch->data());
+  profile->series_lbd_checked += n;
+  profile->series_lbd_pruned += n - survivors;
+  // Pass 2: the survivors in order, each re-checked against the live BSF
+  // by its stored LBD (pass 1 compared it with the BSF at leaf entry,
+  // which may have tightened since). For exact search on one worker
+  // every decision equals the one a per-series inline cascade makes: the
+  // BSF sequence is the same, and an LBD abandoned at a looser bound is
+  // never smaller than one abandoned at the live bound.
+  for (std::size_t i = 0; i < survivors; ++i) {
+    const quant::LbdCandidate& candidate = (*scratch)[i];
     const float bound = results->bsf_sq();
-    const float lbd_sq = quant::LbdSquaredEarlyAbandon(
-        scheme.table(), scheme.weights(), ctx.projection.data(),
-        leaf.words.data() + i * l, bound / inflation);
-    ++profile->series_lbd_checked;
-    if (lbd_sq * inflation >= bound) {
+    if (candidate.lbd_sq * ctx.lbd_inflation_sq >= bound) {
       ++profile->series_lbd_pruned;
       continue;
     }
-    const std::uint32_t id = leaf.series_ids[i];
-    if (RowqPrunes(ctx, id, bound, profile)) {
-      continue;
-    }
-    const float d = SquaredEuclideanEarlyAbandon(ctx.query, data.row(id),
-                                                 data.length(), bound);
-    ++profile->series_ed_computed;
-    if (d < bound) {
-      results->Update(id, d);
-    }
+    Refine(ctx, candidate.id, bound, results, profile);
   }
 }
 
@@ -281,7 +293,7 @@ void CollectLeaves(const QueryContext& ctx, const Node* node,
                 skip_leaf, profile);
 }
 
-// Builds the per-query context (projection + word).
+// Builds the per-query context (projection, word, LBD table).
 QueryContext MakeContext(const TreeIndex* index, const float* query,
                          double epsilon) {
   const quant::SummaryScheme& scheme = index->scheme();
@@ -298,6 +310,9 @@ QueryContext MakeContext(const TreeIndex* index, const float* query,
   for (std::size_t dim = 0; dim < l; ++dim) {
     ctx.word[dim] = scheme.table().Quantize(dim, ctx.projection[dim]);
   }
+  ctx.lbd_table.resize(l * scheme.table().alphabet());
+  quant::BuildLbdTable(scheme.table(), scheme.weights(), ctx.projection.data(),
+                       ctx.lbd_table.data());
   if (index->rowq() != nullptr) {
     ctx.rowq.emplace(index->rowq().get(), query);
   }
@@ -367,6 +382,7 @@ std::vector<Neighbor> QueryEngine::Search(const float* query, std::size_t k,
   // Phase 3: workers drain the queues with BSF pruning and abandonment.
   ParallelRun(pool, num_threads, [&](std::size_t worker) {
     QueryProfile worker_profile;
+    std::vector<quant::LbdCandidate> scratch;  // this worker's survivors
     for (std::size_t offset = 0; offset < num_queues; ++offset) {
       LeafQueue& queue = queues[(worker + offset) % num_queues];
       while (true) {
@@ -379,7 +395,8 @@ std::vector<Neighbor> QueryEngine::Search(const float* query, std::size_t k,
           worker_profile.leaves_abandoned += 1 + queue.Clear();
           break;
         }
-        ScanLeafPruned(ctx, *entry->leaf, &results, &worker_profile);
+        ScanLeafPruned(ctx, *entry->leaf, &results, &worker_profile,
+                       &scratch);
       }
     }
     std::lock_guard<std::mutex> lock(profile_mutex);

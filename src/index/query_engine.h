@@ -9,9 +9,12 @@
 //      priority queues ordered by leaf LBD.
 //   3. Process: workers repeatedly pop the minimum-LBD leaf of a queue. If
 //      its LBD ≥ BSF the whole queue is abandoned (everything behind it is
-//      farther). Otherwise the leaf is scanned: per series a SIMD
-//      early-abandoning LBD, then, if still promising, the early-abandoning
-//      real distance; improvements update the shared BSF / k-NN heap.
+//      farther). Otherwise the leaf is scanned in two passes: every word's
+//      LBD from the query's lookup table against the BSF at leaf entry,
+//      survivors into the worker's scratch buffer; then, survivor by
+//      survivor, the stored LBD against the live BSF, the rowq bound and
+//      the early-abandoning real distance; improvements update the shared
+//      BSF / k-NN heap.
 
 #ifndef SOFA_INDEX_QUERY_ENGINE_H_
 #define SOFA_INDEX_QUERY_ENGINE_H_

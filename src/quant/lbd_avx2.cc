@@ -9,8 +9,13 @@
 //      interval / above / inside). The ZERO branch needs no explicit mask —
 //      masking the two non-zero branches and OR-ing them leaves in-interval
 //      lanes at 0, exactly Eq. 2.
-//   4. Weighted FMA accumulation, horizontal sum per chunk, early abandon
+//   4. Weighted accumulation, horizontal sum per chunk, early abandon
 //      against the best-so-far.
+//
+// The lookup-table kernels below replace steps 1-3 with one gather of
+// precomputed terms. The file builds with -ffp-contract=off: a multiply
+// fused into the accumulation would round differently from the stored
+// term, and the table form must reproduce this kernel bit for bit.
 
 #include "quant/lbd.h"
 
@@ -32,37 +37,47 @@ inline float HorizontalSum(__m256 v) {
   return _mm_cvtss_f32(sum);
 }
 
+// Lane i of the result is i * alphabet.
+inline __m256i LaneBase(std::size_t alphabet) {
+  return _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                            _mm256_set1_epi32(static_cast<int>(alphabet)));
+}
+
+// Gather offsets of the 8-dim chunk starting at `dim`:
+// (dim+i)*alphabet + word[dim+i], the flat [dim][symbol] index shared by
+// the breakpoint arrays and the lookup table.
+inline __m256i ChunkIndex(const std::uint8_t* word, std::size_t dim,
+                          std::size_t alphabet, __m256i lane_base) {
+  const __m256i symbols = _mm256_cvtepu8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(word + dim)));
+  return _mm256_add_epi32(
+      _mm256_add_epi32(lane_base,
+                       _mm256_set1_epi32(static_cast<int>(dim * alphabet))),
+      symbols);
+}
+
+// Caldist + Genmask + masked combine (Algorithm 3 lines 6-8): distance
+// from q to [lo, hi], 0 inside. The ZERO branch needs no mask — the two
+// masked non-zero branches OR-ed together leave in-interval lanes at 0.
+inline __m256 MinDist(__m256 q, __m256 lo, __m256 hi) {
+  const __m256 dist_lower = _mm256_sub_ps(lo, q);  // >0 iff q below interval
+  const __m256 dist_upper = _mm256_sub_ps(q, hi);  // >0 iff q above interval
+  const __m256 mask_lower = _mm256_cmp_ps(q, lo, _CMP_LT_OQ);
+  const __m256 mask_upper = _mm256_cmp_ps(q, hi, _CMP_GT_OQ);
+  return _mm256_or_ps(_mm256_and_ps(mask_lower, dist_lower),
+                      _mm256_and_ps(mask_upper, dist_upper));
+}
+
 // Weighted squared mindist of one 8-dim chunk starting at `dim`.
 inline __m256 ChunkTerm(const float* lower, const float* upper,
                         const float* weights, const float* query_values,
                         const std::uint8_t* word, std::size_t dim,
                         std::size_t alphabet) {
-  // Indices: (dim+i)*alphabet + word[dim+i].
-  const __m128i symbols8 = _mm_loadl_epi64(
-      reinterpret_cast<const __m128i*>(word + dim));
-  const __m256i symbols = _mm256_cvtepu8_epi32(symbols8);
-  const __m256i lane_base = _mm256_setr_epi32(
-      0, static_cast<int>(alphabet), static_cast<int>(2 * alphabet),
-      static_cast<int>(3 * alphabet), static_cast<int>(4 * alphabet),
-      static_cast<int>(5 * alphabet), static_cast<int>(6 * alphabet),
-      static_cast<int>(7 * alphabet));
-  const __m256i base =
-      _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(dim * alphabet)),
-                       lane_base);
-  const __m256i idx = _mm256_add_epi32(base, symbols);
-
+  const __m256i idx = ChunkIndex(word, dim, alphabet, LaneBase(alphabet));
   const __m256 q = _mm256_loadu_ps(query_values + dim);
   const __m256 lo = _mm256_i32gather_ps(lower, idx, 4);
   const __m256 hi = _mm256_i32gather_ps(upper, idx, 4);
-
-  // Caldist + Genmask + masked combine (Algorithm 3 lines 6-8).
-  const __m256 dist_lower = _mm256_sub_ps(lo, q);   // >0 iff q below interval
-  const __m256 dist_upper = _mm256_sub_ps(q, hi);   // >0 iff q above interval
-  const __m256 mask_lower = _mm256_cmp_ps(q, lo, _CMP_LT_OQ);
-  const __m256 mask_upper = _mm256_cmp_ps(q, hi, _CMP_GT_OQ);
-  const __m256 d = _mm256_or_ps(_mm256_and_ps(mask_lower, dist_lower),
-                                _mm256_and_ps(mask_upper, dist_upper));
-
+  const __m256 d = MinDist(q, lo, hi);
   const __m256 w = _mm256_loadu_ps(weights + dim);
   return _mm256_mul_ps(w, _mm256_mul_ps(d, d));
 }
@@ -86,6 +101,15 @@ inline float ScalarTail(const BreakpointTable& table, const float* weights,
       d = q - upper[idx];
     }
     sum += weights[dim] * d * d;
+  }
+  return sum;
+}
+
+inline float TableTail(const float* lut, std::size_t l, std::size_t alphabet,
+                       const std::uint8_t* word, std::size_t dim) {
+  float sum = 0.0f;
+  for (; dim < l; ++dim) {
+    sum += lut[dim * alphabet + word[dim]];
   }
   return sum;
 }
@@ -126,6 +150,77 @@ float LbdSquaredEarlyAbandon(const BreakpointTable& table,
     }
   }
   return sum + ScalarTail(table, weights, query_values, word, dim);
+}
+
+void BuildLbdTable(const BreakpointTable& table, const float* weights,
+                   const float* query_values, float* lut) {
+  const std::size_t l = table.word_length();
+  const std::size_t alphabet = table.alphabet();
+  const std::size_t simd_dims = l / 8 * 8;  // the rest is the scalar tail
+  for (std::size_t dim = 0; dim < l; ++dim) {
+    const std::size_t row = dim * alphabet;
+    const float* lower = table.lower_bounds() + row;
+    const float* upper = table.upper_bounds() + row;
+    const float q = query_values[dim];
+    const float w = weights[dim];
+    const bool chunk_term = dim < simd_dims;
+    const __m256 qv = _mm256_set1_ps(q);
+    const __m256 wv = _mm256_set1_ps(w);
+    std::size_t s = 0;
+    for (; s + 8 <= alphabet; s += 8) {
+      const __m256 d = MinDist(qv, _mm256_loadu_ps(lower + s),
+                               _mm256_loadu_ps(upper + s));
+      const __m256 term =
+          chunk_term ? _mm256_mul_ps(wv, _mm256_mul_ps(d, d))
+                     : _mm256_mul_ps(_mm256_mul_ps(wv, d), d);
+      _mm256_storeu_ps(lut + row + s, term);
+    }
+    for (; s < alphabet; ++s) {
+      float d = 0.0f;
+      if (q < lower[s]) {
+        d = lower[s] - q;
+      } else if (q > upper[s]) {
+        d = q - upper[s];
+      }
+      lut[row + s] = chunk_term ? w * (d * d) : w * d * d;
+    }
+  }
+}
+
+float LbdSquaredTable(const float* lut, std::size_t l, std::size_t alphabet,
+                      const std::uint8_t* word) {
+  const __m256i lane_base = LaneBase(alphabet);
+  __m256 acc = _mm256_setzero_ps();
+  std::size_t dim = 0;
+  for (; dim + 8 <= l; dim += 8) {
+    const __m256i idx = ChunkIndex(word, dim, alphabet, lane_base);
+    acc = _mm256_add_ps(acc, _mm256_i32gather_ps(lut, idx, 4));
+  }
+  return HorizontalSum(acc) + TableTail(lut, l, alphabet, word, dim);
+}
+
+float LbdSquaredTableEarlyAbandon(const float* lut, std::size_t l,
+                                  std::size_t alphabet,
+                                  const std::uint8_t* word, float bound) {
+  const __m256i lane_base = LaneBase(alphabet);
+  float sum = 0.0f;
+  std::size_t dim = 0;
+  for (; dim + 8 <= l; dim += 8) {
+    const __m256i idx = ChunkIndex(word, dim, alphabet, lane_base);
+    sum += HorizontalSum(_mm256_i32gather_ps(lut, idx, 4));
+    if (sum > bound) {
+      return sum;
+    }
+  }
+  return sum + TableTail(lut, l, alphabet, word, dim);
+}
+
+std::size_t LbdTableFilter(const float* lut, std::size_t l,
+                           std::size_t alphabet, const std::uint8_t* words,
+                           const std::uint32_t* ids, std::size_t n,
+                           float bound, float inflation, LbdCandidate* out) {
+  return internal::LbdTableFilterLoop<LbdSquaredTableEarlyAbandon>(
+      lut, l, alphabet, words, ids, n, bound, inflation, out);
 }
 
 }  // namespace avx2

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace sofa {
@@ -30,12 +31,29 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+void Flags::Record(const std::string& name,
+                   const std::string& default_text) const {
+  read_.emplace(name, default_text);
+}
+
+std::vector<std::string> Flags::Unread() const {
+  std::vector<std::string> unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) {
+      unread.push_back(name);
+    }
+  }
+  return unread;
+}
+
 bool Flags::Has(const std::string& name) const {
+  Record(name, "");
   return values_.count(name) > 0;
 }
 
 std::int64_t Flags::GetInt(const std::string& name,
                            std::int64_t default_value) const {
+  Record(name, std::to_string(default_value));
   const auto it = values_.find(name);
   if (it == values_.end()) {
     return default_value;
@@ -44,6 +62,7 @@ std::int64_t Flags::GetInt(const std::string& name,
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
+  Record(name, std::to_string(default_value));
   const auto it = values_.find(name);
   if (it == values_.end()) {
     return default_value;
@@ -53,11 +72,13 @@ double Flags::GetDouble(const std::string& name, double default_value) const {
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& default_value) const {
+  Record(name, default_value);
   const auto it = values_.find(name);
   return it == values_.end() ? default_value : it->second;
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {
+  Record(name, default_value ? "true" : "false");
   const auto it = values_.find(name);
   if (it == values_.end()) {
     return default_value;
@@ -66,6 +87,7 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
 }
 
 std::vector<std::string> Flags::GetList(const std::string& name) const {
+  Record(name, "");
   std::vector<std::string> items;
   const auto it = values_.find(name);
   if (it == values_.end()) {
@@ -87,6 +109,34 @@ std::vector<std::string> Flags::GetList(const std::string& name) const {
     start = comma + 1;
   }
   return items;
+}
+
+void ExitOnHelpOrUnreadFlags(const Flags& flags, const char* program) {
+  if (flags.GetBool("help", false)) {
+    std::printf("usage: %s [--flag=value ...]\nflags:\n", program);
+    for (const auto& [name, default_text] : flags.read()) {
+      if (name == "help") {
+        continue;
+      }
+      if (default_text.empty()) {
+        std::printf("  --%s\n", name.c_str());
+      } else {
+        std::printf("  --%s (default %s)\n", name.c_str(),
+                    default_text.c_str());
+      }
+    }
+    std::exit(0);
+  }
+  const std::vector<std::string> unread = flags.Unread();
+  if (unread.empty()) {
+    return;
+  }
+  std::fprintf(stderr, "%s: unknown flag(s):", program);
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, " --%s", name.c_str());
+  }
+  std::fprintf(stderr, " (--help lists the flags)\n");
+  std::exit(2);
 }
 
 }  // namespace sofa

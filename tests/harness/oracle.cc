@@ -1,7 +1,11 @@
 #include "harness/oracle.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <unordered_set>
 
+#include "core/distance.h"
 #include "sfa/mcb.h"
 #include "util/thread_pool.h"
 
@@ -24,6 +28,23 @@ namespace testing_harness {
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+std::vector<Neighbor> BruteForceWithEngineKernel(const Dataset& data,
+                                                 const float* query,
+                                                 std::size_t k) {
+  std::vector<Neighbor> all(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    all[i] = Neighbor{static_cast<std::uint32_t>(i),
+                      std::sqrt(SquaredEuclideanEarlyAbandon(
+                          query, data.row(i), data.length(),
+                          std::numeric_limits<float>::infinity()))};
+  }
+  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
+    return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
+  });
+  all.resize(std::min(k, all.size()));
+  return all;
 }
 
 std::shared_ptr<const quant::SummaryScheme> TrainTestScheme(

@@ -37,6 +37,15 @@ namespace testing_harness {
 ::testing::AssertionResult BitIdentical(const std::vector<Neighbor>& actual,
                                         const std::vector<Neighbor>& expected);
 
+/// Brute force over the engines' own distance kernel (the
+/// early-abandoning one, which never abandons under an infinite bound), so
+/// its answers compare bit for bit with any engine's; ties go to the
+/// lowest id. Unlike ExactOracle it runs no engine code at all — the
+/// yardstick for the engine's own scan.
+std::vector<Neighbor> BruteForceWithEngineKernel(const Dataset& data,
+                                                 const float* query,
+                                                 std::size_t k);
+
 /// The standard test summary scheme every end-to-end suite builds on:
 /// SFA, word length 16, alphabet 256, 20% sampling.
 std::shared_ptr<const quant::SummaryScheme> TrainTestScheme(

@@ -3,6 +3,7 @@
 // (scalar vs AVX2, early abandoning, node-level prefixes).
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -538,6 +539,186 @@ TEST(LbdTest, WeightsScaleContributions) {
   const float w4[] = {4.0f};
   EXPECT_FLOAT_EQ(scalar::LbdSquared(table, w1, query, word), 9.0f);
   EXPECT_FLOAT_EQ(scalar::LbdSquared(table, w4, query, word), 36.0f);
+}
+
+// ------------------------------------------------ LBD lookup table
+
+// One compiled LBD tier: its reference kernels and its table kernels.
+struct LbdTier {
+  const char* name;
+  void (*build)(const BreakpointTable&, const float*, const float*, float*);
+  float (*table_lbd)(const float*, std::size_t, std::size_t,
+                     const std::uint8_t*);
+  float (*table_lbd_ea)(const float*, std::size_t, std::size_t,
+                        const std::uint8_t*, float);
+  std::size_t (*filter)(const float*, std::size_t, std::size_t,
+                        const std::uint8_t*, const std::uint32_t*,
+                        std::size_t, float, float, LbdCandidate*);
+  float (*lbd)(const BreakpointTable&, const float*, const float*,
+               const std::uint8_t*);
+  float (*lbd_ea)(const BreakpointTable&, const float*, const float*,
+                  const std::uint8_t*, float);
+};
+
+// Every tier this binary can run on this CPU.
+std::vector<LbdTier> RunnableLbdTiers() {
+  std::vector<LbdTier> tiers = {
+      {"scalar", scalar::BuildLbdTable, scalar::LbdSquaredTable,
+       scalar::LbdSquaredTableEarlyAbandon, scalar::LbdTableFilter,
+       scalar::LbdSquared, scalar::LbdSquaredEarlyAbandon}};
+#if defined(SOFA_HAVE_AVX2)
+  tiers.push_back({"avx2", avx2::BuildLbdTable, avx2::LbdSquaredTable,
+                   avx2::LbdSquaredTableEarlyAbandon, avx2::LbdTableFilter,
+                   avx2::LbdSquared, avx2::LbdSquaredEarlyAbandon});
+#endif
+#if defined(SOFA_COMPILE_AVX512)
+  if (CpuSupportsAvx512()) {
+    tiers.push_back({"avx512", avx512::BuildLbdTable,
+                     avx512::LbdSquaredTable,
+                     avx512::LbdSquaredTableEarlyAbandon,
+                     avx512::LbdTableFilter, avx512::LbdSquared,
+                     avx512::LbdSquaredEarlyAbandon});
+  }
+#endif
+  return tiers;
+}
+
+std::uint32_t Bits(float value) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// A query and word mix for table-vs-reference checks: every third
+// dimension's symbol is pinned to 0 or alphabet-1 (the intervals that
+// reach ±inf), and a quarter of the query values sit outside the
+// outermost breakpoints.
+void MakeTableCase(const BreakpointTable& table, Rng* rng,
+                   std::vector<float>* query, std::vector<std::uint8_t>* word) {
+  const std::size_t l = table.word_length();
+  const std::size_t alphabet = table.alphabet();
+  query->resize(l);
+  word->resize(l);
+  for (std::size_t d = 0; d < l; ++d) {
+    const float first = table.upper_bounds()[d * alphabet];
+    const float last = table.lower_bounds()[d * alphabet + alphabet - 1];
+    switch (rng->Below(4)) {
+      case 0:
+        (*query)[d] = first - static_cast<float>(rng->Uniform(0.1, 5.0));
+        break;
+      case 1:
+        (*query)[d] = last + static_cast<float>(rng->Uniform(0.1, 5.0));
+        break;
+      default:
+        (*query)[d] = static_cast<float>(rng->Gaussian(0.0, 2.0 + d));
+    }
+    switch (rng->Below(3)) {
+      case 0:
+        (*word)[d] = 0;
+        break;
+      case 1:
+        (*word)[d] = static_cast<std::uint8_t>(alphabet - 1);
+        break;
+      default:
+        (*word)[d] = static_cast<std::uint8_t>(rng->Below(alphabet));
+    }
+  }
+}
+
+// The engine reads only the table form, so it must be the reference
+// kernel bit for bit — per tier, for word lengths with and without a
+// scalar tail, small and full alphabets, zero weights, edge symbols and
+// queries beyond the outermost breakpoints.
+TEST(LbdTableTest, EqualsEveryTiersReferenceKernelBitForBit) {
+  for (const LbdTier& tier : RunnableLbdTiers()) {
+    for (const std::size_t l : {8, 16, 20, 32}) {
+      for (const std::size_t alphabet : {4, 16, 256}) {
+        SCOPED_TRACE(::testing::Message() << tier.name << " l=" << l
+                                          << " alphabet=" << alphabet);
+        const BreakpointTable table = MakeTestTable(l, alphabet, 61 + l);
+        Rng rng(62 + alphabet);
+        std::vector<float> weights(l);
+        for (std::size_t d = 0; d < l; ++d) {
+          weights[d] = d % 5 == 3 ? 0.0f
+                                  : static_cast<float>(rng.Uniform(0.5, 3.0));
+        }
+        std::vector<float> lut(l * alphabet);
+        for (int trial = 0; trial < 40; ++trial) {
+          std::vector<float> query;
+          std::vector<std::uint8_t> word;
+          MakeTableCase(table, &rng, &query, &word);
+          tier.build(table, weights.data(), query.data(), lut.data());
+          const float exact =
+              tier.lbd(table, weights.data(), query.data(), word.data());
+          ASSERT_EQ(Bits(tier.table_lbd(lut.data(), l, alphabet,
+                                        word.data())),
+                    Bits(exact));
+          for (const float bound : {kInf, 0.0f, 0.3f * exact, 0.7f * exact,
+                                    exact, 2.0f * exact}) {
+            ASSERT_EQ(Bits(tier.table_lbd_ea(lut.data(), l, alphabet,
+                                             word.data(), bound)),
+                      Bits(tier.lbd_ea(table, weights.data(), query.data(),
+                                       word.data(), bound)))
+                << "bound " << bound;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The leaf filter keeps exactly the words the inline per-series check
+// keeps (lbd · inflation < bound, LBD abandoned at bound / inflation),
+// in order, with the reference LBD of each.
+TEST(LbdTableTest, FilterKeepsWhatTheInlineCheckKeeps) {
+  const std::size_t l = 16;
+  const std::size_t alphabet = 256;
+  const std::size_t n = 300;
+  for (const LbdTier& tier : RunnableLbdTiers()) {
+    SCOPED_TRACE(tier.name);
+    LbdFixture fx(l, alphabet, 71);
+    Rng rng(72);
+    std::vector<float> query(l);
+    for (std::size_t d = 0; d < l; ++d) {
+      query[d] = static_cast<float>(rng.Gaussian(0.0, 2.0));
+    }
+    std::vector<std::uint8_t> words(n * l);
+    std::vector<std::uint32_t> ids(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = static_cast<std::uint32_t>(1000 + 7 * i);
+      for (std::size_t d = 0; d < l; ++d) {
+        words[i * l + d] =
+            fx.table.Quantize(d, static_cast<float>(rng.Gaussian()));
+      }
+    }
+    std::vector<float> lut(l * alphabet);
+    tier.build(fx.table, fx.weights.data(), query.data(), lut.data());
+    const float median = tier.lbd(fx.table, fx.weights.data(), query.data(),
+                                  words.data());
+    for (const float inflation : {1.0f, 2.25f}) {
+      for (const float bound : {kInf, 0.0f, median, 3.0f * median}) {
+        std::vector<LbdCandidate> out(n);
+        const std::size_t kept =
+            tier.filter(lut.data(), l, alphabet, words.data(), ids.data(), n,
+                        bound, inflation, out.data());
+        std::size_t expected = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const float lbd =
+              tier.lbd_ea(fx.table, fx.weights.data(), query.data(),
+                          words.data() + i * l, bound / inflation);
+          if (lbd * inflation >= bound) {
+            continue;
+          }
+          ASSERT_LT(expected, kept);
+          EXPECT_EQ(out[expected].id, ids[i]);
+          EXPECT_EQ(Bits(out[expected].lbd_sq), Bits(lbd));
+          ++expected;
+        }
+        EXPECT_EQ(kept, expected) << "inflation " << inflation << " bound "
+                                  << bound;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,11 +4,8 @@
 // index hot-swap during in-flight traffic, the serialization → hot-swap
 // path, and serving-metrics accounting.
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <future>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/distance.h"
 #include "harness/oracle.h"
 #include "index/query_engine.h"
 #include "index/serialization.h"
@@ -413,26 +409,6 @@ TEST(SearchServiceTest, SerializedReloadPublishesBitIdenticalAnswers) {
 
 // ------------------------------------------------------ one serving path
 
-// Brute force over the engines' own distance kernel (the early-abandoning
-// one, which never abandons under an infinite bound), so its answers
-// compare bit for bit; ties go to the lowest id.
-std::vector<Neighbor> BruteForceWithEngineKernel(const Dataset& data,
-                                                 const float* query,
-                                                 std::size_t k) {
-  std::vector<Neighbor> all(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    all[i] = Neighbor{static_cast<std::uint32_t>(i),
-                      std::sqrt(SquaredEuclideanEarlyAbandon(
-                          query, data.row(i), data.length(),
-                          std::numeric_limits<float>::infinity()))};
-  }
-  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
-    return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
-  });
-  all.resize(std::min(k, all.size()));
-  return all;
-}
-
 // A single tree and a 2-shard generation run the same path in latency
 // mode and in forced throughput mode: answers are bit-identical to the
 // engine and to brute force, and every traced query records exactly
@@ -494,7 +470,8 @@ TEST(SearchServiceTest, OnePathServesEveryGenerationInBothModes) {
         ASSERT_EQ(response.status, RequestStatus::kOk) << "query " << q;
         EXPECT_TRUE(testing_harness::BitIdentical(
             response.neighbors,
-            BruteForceWithEngineKernel(data, queries.row(q), kK)))
+            testing_harness::BruteForceWithEngineKernel(data, queries.row(q),
+                                                        kK)))
             << "query " << q;
         EXPECT_TRUE(testing_harness::BitIdentical(
             response.neighbors, engine.Search(queries.row(q), kK)))

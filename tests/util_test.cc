@@ -6,8 +6,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -486,6 +488,45 @@ TEST(FlagsTest, BoolFalseSpellings) {
   EXPECT_FALSE(flags.GetBool("a", true));
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_FALSE(flags.GetBool("c", true));
+}
+
+TEST(FlagsTest, UnreadListsPassedFlagsNoGetterAskedFor) {
+  const char* argv[] = {"prog", "--n_series=10", "--n_sereis=20",
+                        "--threads=1,2", "--verbose"};
+  Flags flags(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("n_series", 5), 10);
+  EXPECT_EQ(flags.GetList("threads").size(), 2u);
+  EXPECT_EQ(flags.Unread(),
+            (std::vector<std::string>{"n_sereis", "verbose"}));
+  (void)flags.Has("verbose");  // Has counts as a read
+  EXPECT_EQ(flags.Unread(), std::vector<std::string>{"n_sereis"});
+  // Absent flags read with a default are listed for --help, not unread.
+  EXPECT_EQ(flags.GetDouble("rate", 0.5), 0.5);
+  ASSERT_EQ(flags.read().count("rate"), 1u);
+  EXPECT_EQ(flags.read().at("n_series"), "5");
+}
+
+TEST(FlagsDeathTest, UnreadFlagExitsTwoAndHelpExitsZero) {
+  const char* typo[] = {"prog", "--n_sereis=20"};
+  const Flags typo_flags(2, const_cast<char**>(typo));
+  (void)typo_flags.GetInt("n_series", 5);
+  EXPECT_EXIT(ExitOnHelpOrUnreadFlags(typo_flags, "prog"),
+              ::testing::ExitedWithCode(2), "unknown flag\\(s\\): --n_sereis");
+
+  const char* help[] = {"prog", "--help"};
+  const Flags help_flags(2, const_cast<char**>(help));
+  (void)help_flags.GetInt("n_series", 5);
+  EXPECT_EXIT(
+      {
+        ExitOnHelpOrUnreadFlags(help_flags, "prog");
+        std::exit(1);  // not reached
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  const char* fine[] = {"prog", "--n_series=3"};
+  const Flags fine_flags(2, const_cast<char**>(fine));
+  (void)fine_flags.GetInt("n_series", 5);
+  ExitOnHelpOrUnreadFlags(fine_flags, "prog");  // returns
 }
 
 // ---------------------------------------------------------------- aligned
